@@ -20,7 +20,6 @@ from nuframes import (
     evaluate,
     oep_check,
     oep_normalize,
-    oep_residual,
     parse,
     preset,
     two_generator_setup,
@@ -47,7 +46,7 @@ varying = parse("1 + abs2(sin(g))")
 ts = TranslationSet(2, 3)
 completion = two_generator_setup(setup.psi0_hat, setup.filters[0], varying, ts,
                                  grid_log2=14)
-resid = oep_residual(completion, grid_log2=14)
+resid = oep_check(completion, grid_log2=14).residual
 print(f"\ntwo-filter completion residual: {resid:.6f}")
 print("expected sup 2*theta(4g)|H0(g)|^2:",
       f"{float(2 * (1 + np.sin(4 * (1 / 32)) ** 2)):.6f} (at the band edge)")

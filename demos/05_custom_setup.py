@@ -8,6 +8,7 @@ dict can live in a JSON file and drive the command line interface.
 """
 
 import json
+import os
 import tempfile
 
 from nuframes import (
@@ -43,6 +44,9 @@ with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
     path = fh.name
 
 print("\nCLI on the same file (exit 0 = every check passed):")
-code = main(["parseval", "--setup", path, "--signal", "ind(1/12,1/2)",
-             "--j=-3..3", "--grid-log2", "14", "--tol", "1e-4"])
+try:
+    code = main(["parseval", "--setup", path, "--signal", "ind(1/12,1/2)",
+                 "--j=-3..3", "--grid-log2", "14", "--tol", "1e-4"])
+finally:
+    os.remove(path)
 print(f"exit code: {code}")

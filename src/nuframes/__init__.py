@@ -13,13 +13,11 @@ from .analysis import (
     bessel_check,
     coefficient,
     default_grid,
-    lattice_sum_direct,
     lattice_sum_direct_detail,
     lattice_sum_parseval,
     level_profile,
     norm_sq,
     parseval_report,
-    periodize,
     quad,
     telescoping_residual,
 )
@@ -44,13 +42,12 @@ from .setups import (
     derive_generator,
     oep_check,
     oep_normalize,
-    oep_residual,
     two_generator_setup,
     uep_residual,
     validate_setup,
 )
 from .signals import SignalSpec, catalog, hann_bump, indicator_signal
-from .symfunc import FreqExpr, dilate_arg, essential_sup, evaluate, parse, render
+from .symfunc import FreqExpr, dilate_arg, evaluate, parse, render
 
 __version__ = "0.1.0"
 
@@ -81,11 +78,9 @@ __all__ = [
     "default_grid",
     "derive_generator",
     "dilate_arg",
-    "essential_sup",
     "evaluate",
     "hann_bump",
     "indicator_signal",
-    "lattice_sum_direct",
     "lattice_sum_direct_detail",
     "lattice_sum_parseval",
     "level_profile",
@@ -93,10 +88,8 @@ __all__ = [
     "norm_sq",
     "oep_check",
     "oep_normalize",
-    "oep_residual",
     "parse",
     "parseval_report",
-    "periodize",
     "preset",
     "preset_names",
     "quad",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,37 +121,6 @@ def _stream_real_integral(fn, grid: FrequencyGrid) -> float:
     return math.fsum(partials) * grid.h
 
 
-def periodize(e: FreqExpr, N: int, k_range: int, grid: FrequencyGrid) -> np.ndarray:
-    """Samples of the N-periodization Σ_{|k| ≤ k_range} e(γ + N·k) on the
-    grid midpoints (meant for a grid spanning one period [0, N]).
-
-    Warns when |e| is detectably nonzero just outside the folded window,
-    since then k_range truncates actual mass.
-    """
-    if N < 1:
-        raise ValueError(f"period N must be a positive integer, got {N}")
-    if k_range < 0:
-        raise ValueError(f"k_range must be nonnegative, got {k_range}")
-    g = grid.points()
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for k in range(-k_range, k_range + 1):
-        acc += evaluate(e, g + float(N) * k)
-    lo = float(grid.a) - N * (k_range + 1)
-    hi = float(grid.b) + N * k_range
-    step = float(N) / _SUPPORT_PROBES
-    ks = np.arange(_SUPPORT_PROBES) + 0.5
-    for probes in (hi + ks * step, lo + ks * step):
-        worst = float(np.max(np.abs(evaluate(e, probes))))
-        if worst > _SUPPORT_TOL:
-            warnings.warn(
-                f"periodization window |k| <= {k_range} leaks: |e| reaches "
-                f"{worst:.3e} outside it",
-                stacklevel=2,
-            )
-            break
-    return acc
-
-
 def _require_half_line_support(g_hat: FreqExpr):
     """Probe that ĝ has no detectable mass outside [0, 1/2]."""
     ks = np.arange(_SUPPORT_PROBES) + 0.5
@@ -169,6 +137,19 @@ def _require_half_line_support(g_hat: FreqExpr):
             )
 
 
+def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
+    """(2N)^j and (2N)^{j/2} as floats; a level whose power overflows is
+    rejected by name."""
+    d = float(ts.dilation)
+    try:
+        return d**j, d ** (0.5 * j)
+    except OverflowError:
+        raise ValueError(
+            f"level {j} is out of range: the dilation {ts.dilation} to the "
+            f"power {j} overflows a float"
+        ) from None
+
+
 def coefficient(
     f_hat: FreqExpr,
     g_hat: FreqExpr,
@@ -182,11 +163,10 @@ def coefficient(
     grid = _resolve_grid(grid)
     _require_working_window(grid)
     g = grid.points()
-    d = float(ts.dilation)
-    amp = d ** (0.5 * j)
+    scale, amp = _level_scales(ts, j)
     vals = (
         amp
-        * evaluate(f_hat, (d**j) * g)
+        * evaluate(f_hat, scale * g)
         * np.conj(evaluate(g_hat, g))
         * np.exp((2j * np.pi * float(lam)) * g)
     )
@@ -252,6 +232,11 @@ def lattice_sum_direct_detail(
     _require_working_window(grid)
     if M < 1:
         raise ValueError(f"window size M must be at least 1, got {M}")
+    if grid.log2_n > _POINTS_MAX_LOG2:
+        raise ValueError(
+            f"the direct route supports --grid-log2 up to {_POINTS_MAX_LOG2}, "
+            f"got {grid.log2_n}; the parseval route supports up to 26"
+        )
     if M * grid.h > 0.01:
         raise TruncationGuard(
             f"M*h = {M * grid.h:.4g} > 0.01: the phase e^(2pi i lambda gamma) "
@@ -259,10 +244,10 @@ def lattice_sum_direct_detail(
         )
     _require_half_line_support(g_hat)
     g = grid.points()
-    d = float(ts.dilation)
+    scale, amp = _level_scales(ts, j)
     F = (
-        (d ** (0.5 * j))
-        * evaluate(f_hat, (d**j) * g)
+        amp
+        * evaluate(f_hat, scale * g)
         * np.conj(evaluate(g_hat, g))
     )
     h = grid.h
@@ -283,17 +268,6 @@ def lattice_sum_direct_detail(
     )
 
 
-def lattice_sum_direct(
-    f_hat: FreqExpr,
-    g_hat: FreqExpr,
-    ts: TranslationSet,
-    j: int,
-    M: int = 2048,
-    grid: FrequencyGrid | None = None,
-) -> float:
-    return lattice_sum_direct_detail(f_hat, g_hat, ts, j, M, grid).value
-
-
 def lattice_sum_parseval(
     f_hat: FreqExpr,
     g_hat: FreqExpr,
@@ -309,13 +283,11 @@ def lattice_sum_parseval(
     grid = _resolve_grid(grid)
     _require_working_window(grid)
     _require_half_line_support(g_hat)
-    d = float(ts.dilation)
-    scale = d**j
-    amp_sq = d**j
+    scale = _level_scales(ts, j)[0]
 
     def integrand(g):
         u = evaluate(f_hat, scale * g) * evaluate(g_hat, g)
-        return amp_sq * (u.real * u.real + u.imag * u.imag)
+        return scale * (u.real * u.real + u.imag * u.imag)
 
     return _stream_real_integral(integrand, grid)
 

@@ -123,15 +123,23 @@ def _abs2_values(e: FreqExpr, g: np.ndarray) -> np.ndarray:
     return v.real * v.real + v.imag * v.imag
 
 
-def _real_values(e: FreqExpr, g: np.ndarray, what: str) -> np.ndarray:
-    v = evaluate(e, g)
+def _theta_values(theta: FreqExpr, g: np.ndarray) -> np.ndarray:
+    """θ(g), checked real and strictly positive."""
+    v = evaluate(theta, g)
     bad = np.abs(v.imag) > 1e-12
     if bad.any():
         i = int(np.argmax(bad))
         raise ThetaNotPositive(
-            f"{what} must be real, got {complex(v[i])} at gamma={float(g[i])}"
+            f"scaling symbol must be real, got {complex(v[i])} at gamma={float(g[i])}"
         )
-    return v.real
+    t = v.real
+    i = int(np.argmin(t))
+    if t[i] <= 0.0:
+        raise ThetaNotPositive(
+            f"scaling symbol is {float(t[i])} at gamma={float(g[i])}; "
+            "it must be strictly positive"
+        )
+    return t
 
 
 def _limit_deviation(e: FreqExpr) -> float:
@@ -141,35 +149,45 @@ def _limit_deviation(e: FreqExpr) -> float:
     return float(np.max(np.abs(v - 1.0)))
 
 
-def uep_residual(s: GeneralSetup, grid_log2: int = 20) -> float:
-    """sup over [0, 1/2] of |Σₗ |Hₗ(γ)|² − 1| (midpoint grid scan)."""
-    worst = 0.0
-    for g in midpoint_chunks(0, Fraction(1, 2), grid_log2):
-        acc = _abs2_values(s.filters[0], g)
-        for h in s.filters[1:]:
-            acc += _abs2_values(h, g)
-        worst = max(worst, float(np.max(np.abs(acc - 1.0))))
-    return worst
-
-
-def _theta_scan(theta: FreqExpr | None, ts: TranslationSet, grid_log2: int) -> float:
-    """Verify θ strictly positive on [0, 1/2] and [0, N]; return the min."""
-    if theta is None:
-        raise ThetaMissing("setup has no scaling symbol")
+def _filter_scan(
+    ts: TranslationSet,
+    filters: tuple[FreqExpr, ...],
+    theta: FreqExpr | None,
+    grid_log2: int,
+) -> tuple[float, float | None, float | None]:
+    """One pass over the midpoints of [0, 1/2]: each filter evaluated once,
+    θ once at γ and once at 2Nγ.  Returns (uep, oep, theta_min), the sups of
+    |Σₗ |Hₗ|² − 1| and |θ(2Nγ)|H₀|² + Σ_{ℓ≥1}|Hₗ|² − θ(γ)| and min θ; the last
+    two are None without θ, and without filters only θ is checked.  Both
+    sums run in ascending ℓ, so with θ ≡ 1 they agree bit for bit.
+    """
     d = float(ts.dilation)
+    uep = oep = 0.0
     tmin = math.inf
     for g in midpoint_chunks(0, Fraction(1, 2), grid_log2):
-        for gg in (g, d * g):
-            t = _real_values(theta, gg, "scaling symbol")
-            m = float(np.min(t))
-            if m <= 0.0:
-                i = int(np.argmin(t))
-                raise ThetaNotPositive(
-                    f"scaling symbol is {m} at gamma={float(gg[i])}; "
-                    "it must be strictly positive"
-                )
-            tmin = min(tmin, m)
-    return tmin
+        if theta is not None:
+            t = _theta_values(theta, g)
+            w = _theta_values(theta, d * g)
+            tmin = min(tmin, float(np.min(t)), float(np.min(w)))
+        if not filters:
+            continue
+        u = _abs2_values(filters[0], g)
+        if theta is not None:
+            w *= u  # in place, so the scan holds no extra grid-sized array
+        for h in filters[1:]:
+            a = _abs2_values(h, g)
+            u += a
+            if theta is not None:
+                w += a
+        uep = max(uep, float(np.max(np.abs(u - 1.0))))
+        if theta is not None:
+            oep = max(oep, float(np.max(np.abs(w - t))))
+    return (uep, None, None) if theta is None else (uep, oep, tmin)
+
+
+def uep_residual(s: GeneralSetup, grid_log2: int = 20) -> float:
+    """sup over [0, 1/2] of |Σₗ |Hₗ(γ)|² − 1| (midpoint grid scan)."""
+    return _filter_scan(s.ts, s.filters, None, grid_log2)[0]
 
 
 def oep_check(s: GeneralSetup, grid_log2: int = 20) -> OepReport:
@@ -178,25 +196,10 @@ def oep_check(s: GeneralSetup, grid_log2: int = 20) -> OepReport:
     residual = sup |θ(2Nγ)|H₀(γ)|² + Σ_{ℓ≥1}|Hₗ(γ)|² − θ(γ)|.
     With θ ≡ 1 the accumulation reproduces uep_residual bit for bit.
     """
-    tmin = _theta_scan(s.theta, s.ts, grid_log2)
-    d = float(s.ts.dilation)
-    worst = 0.0
-    for g in midpoint_chunks(0, Fraction(1, 2), grid_log2):
-        t = _real_values(s.theta, g, "scaling symbol")
-        t_dil = _real_values(s.theta, d * g, "scaling symbol")
-        acc = t_dil * _abs2_values(s.filters[0], g)
-        for h in s.filters[1:]:
-            acc += _abs2_values(h, g)
-        worst = max(worst, float(np.max(np.abs(acc - t))))
-    return OepReport(
-        residual=worst,
-        theta_min=tmin,
-        theta_limit_deviation=_limit_deviation(s.theta),
-    )
-
-
-def oep_residual(s: GeneralSetup, grid_log2: int = 20) -> float:
-    return oep_check(s, grid_log2).residual
+    if s.theta is None:
+        raise ThetaMissing("setup has no scaling symbol")
+    _, residual, tmin = _filter_scan(s.ts, s.filters, s.theta, grid_log2)
+    return OepReport(residual, tmin, _limit_deviation(s.theta))
 
 
 def validate_setup(
@@ -228,14 +231,8 @@ def validate_setup(
             leak = max(leak, float(np.max(np.abs(evaluate(s.psi0_hat, g)))))
 
     limit_dev = _limit_deviation(s.psi0_hat)
-    uep = uep_residual(s, grid_log2)
-
-    oep = theta_min = theta_limit = None
-    if s.theta is not None:
-        rep = oep_check(s, grid_log2)
-        oep = rep.residual
-        theta_min = rep.theta_min
-        theta_limit = rep.theta_limit_deviation
+    uep, oep, theta_min = _filter_scan(s.ts, s.filters, s.theta, grid_log2)
+    theta_limit = None if s.theta is None else _limit_deviation(s.theta)
 
     checks = {
         "refinement": refinement <= tol,
@@ -283,7 +280,7 @@ def oep_normalize(s: GeneralSetup, grid_log2: int = 20) -> GeneralSetup:
     """
     if s.theta is None:
         raise ThetaMissing("setup has no scaling symbol to normalize away")
-    _theta_scan(s.theta, s.ts, grid_log2)
+    _filter_scan(s.ts, (), s.theta, grid_log2)
     recip = PositiveReciprocal(s.theta)
     theta_dil = dilate_arg(s.theta, s.ts.dilation)
     h0 = product_of(Sqrt(product_of(theta_dil, recip)), s.filters[0])
@@ -307,12 +304,12 @@ def two_generator_setup(
     """Two-filter completion H₁ = √(θ(2Nγ))·H₀·i, H₂ = √(θ(γ)).
 
     Built exactly as stated; note the θ-weighted filter condition then
-    evaluates to θ(γ) + 2θ(2Nγ)|H₀(γ)|² on the left, so oep_residual of the
-    result equals sup 2θ(2Nγ)|H₀(γ)|², nonzero whenever H₀ is.  The
+    evaluates to θ(γ) + 2θ(2Nγ)|H₀(γ)|² on the left, so the oep_check residual
+    of the result equals sup 2θ(2Nγ)|H₀(γ)|², nonzero whenever H₀ is.  The
     construction is reported as-is rather than corrected; callers should
-    inspect oep_residual of the result.
+    inspect that residual.
     """
-    _theta_scan(theta, ts, grid_log2)
+    _filter_scan(ts, (), theta, grid_log2)
     h1 = product_of(Sqrt(dilate_arg(theta, ts.dilation)), h0, ImaginaryUnit())
     h2 = Sqrt(theta)
     return GeneralSetup(ts=ts, psi0_hat=psi0_hat, filters=(h0, h1, h2), theta=theta)

@@ -360,20 +360,6 @@ def _dilate(e: FreqExpr, s: Fraction) -> FreqExpr:
 # grid scan
 
 
-def essential_sup(e: FreqExpr, interval, log2_n: int = 20) -> float:
-    """max |e| over the midpoints of a 2^log2_n grid on interval = (a, b)."""
-    a, b = (Fraction(x) for x in interval)
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    best = 0.0
-    for g in midpoint_chunks(a, b, log2_n):
-        v = _eval(e, g)
-        m = float(np.max(np.abs(v)))
-        if m > best:
-            best = m
-    return best
-
-
 def midpoint_chunks(a, b, log2_n: int, chunk: int = 1 << 20):
     """Yield the midpoints of the regular 2^log2_n grid on [a, b] in blocks.
 

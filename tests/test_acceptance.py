@@ -19,13 +19,13 @@ from nuframes import (
     evaluate,
     hann_bump,
     indicator_signal,
-    lattice_sum_direct,
+    lattice_sum_direct_detail,
     lattice_sum_parseval,
     level_profile,
     bessel_check,
     norm_sq,
     oep_normalize,
-    oep_residual,
+    oep_check,
     parse,
     preset,
     render,
@@ -122,9 +122,9 @@ def test_criterion_3_independent_routes_agree():
         for s, gen in cases:
             for j in range(-1, 5):
                 ident = lattice_sum_parseval(sig.fhat, gen, s.ts, j)
-                direct = lattice_sum_direct(
+                direct = lattice_sum_direct_detail(
                     sig.fhat, gen, s.ts, j, M=2048, grid=grid_direct
-                )
+                ).value
                 budget = 1e-2 * max(ident, 1e-3 * nrm)
                 gap = abs(direct - ident)
                 worst = max(worst, gap / budget)
@@ -199,7 +199,7 @@ def test_criterion_7_weighted_condition_tools():
     essentially zero, trivial-weight normalization is the identity, and the
     two-filter completion's residual matches a direct grid evaluation."""
     s = preset("ex5.2")
-    ok = oep_residual(s) <= 1e-12
+    ok = oep_check(s).residual <= 1e-12
 
     ns = oep_normalize(s)
     pts = np.linspace(0.0, 0.5, 1000)
@@ -217,7 +217,7 @@ def test_criterion_7_weighted_condition_tools():
         h0 = np.abs(evaluate(s.filters[0], g)) ** 2
         t4 = 1.0 + np.sin(4.0 * g) ** 2
         oracle = max(oracle, float(np.max(2.0 * t4 * h0)))
-    got = oep_residual(tg, grid_log2=14)
+    got = oep_check(tg, grid_log2=14).residual
     ok &= abs(got - oracle) <= 1e-10
     _verdict(7, "weighted filter-condition tools are consistent", ok,
              f"completion residual={got!r} vs oracle={oracle!r}")

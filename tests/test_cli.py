@@ -178,6 +178,31 @@ def test_parseval_truncation_guard(capsys):
     assert "under-resolved" in err
 
 
+def test_direct_route_grid_cap(capsys):
+    code, _, err = run(
+        capsys, "parseval", "--preset", "ex5.2", "--signal", "ind(1/8,1/2)",
+        "--route", "direct", "--M", "4", "--j", "0", "--grid-log2", "23",
+    )
+    assert code == 2
+    assert "direct route supports --grid-log2 up to 22" in err
+    assert "chunks()" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("parseval",),
+    ("parseval", "--route", "direct", "--M", "4", "--grid-log2", "12"),
+    ("levels",),
+])
+def test_overflowing_level_is_named(capsys, argv):
+    code, _, err = run(
+        capsys, *argv, "--preset", "ex5.2", "--signal", "ind(1/8,1/2)",
+        "--j=600..600",
+    )
+    assert code == 2
+    assert "level 600" in err and "dilation 4" in err
+    assert "(34," not in err
+
+
 def test_parseval_table_format(capsys):
     code, out, _ = run(
         capsys, "parseval", "--preset", "ex5.2", "--signal", "ind(1/8,1/2)",

@@ -11,7 +11,6 @@ from nuframes import (
     evaluate,
     oep_check,
     oep_normalize,
-    oep_residual,
     parse,
     setup_from_dict,
     two_generator_setup,
@@ -79,18 +78,20 @@ def test_validate_rejects_tiny_grid(ex51):
 def test_trivial_weight_degenerates_exactly(ex52):
     """With the weight identically 1 the weighted residual is the plain one,
     bit for bit (same accumulation order)."""
-    assert oep_residual(ex52) == uep_residual(ex52)
+    assert oep_check(ex52).residual == uep_residual(ex52)
+
+
+WEIGHT_TWO = {
+    "N": 2, "r": 3,
+    "psi0_hat": "chi[0,1/8]",
+    "filters": ["chi[0,1/32]", "1 - chi[0,1/32]"],
+    "theta": "2",
+}
 
 
 def test_weighted_residual_matches_grid_oracle(ex52):
     """Constant weight 2: residual must equal sup |2|H0|^2 + |H1|^2 - 2|."""
-    d = {
-        "N": 2, "r": 3,
-        "psi0_hat": "chi[0,1/8]",
-        "filters": ["chi[0,1/32]", "1 - chi[0,1/32]"],
-        "theta": "2",
-    }
-    s = setup_from_dict(d)
+    s = setup_from_dict(WEIGHT_TWO)
     log2 = 14
     worst = 0.0
     for g in midpoint_chunks(0, F(1, 2), log2):
@@ -98,7 +99,26 @@ def test_weighted_residual_matches_grid_oracle(ex52):
         h1 = np.abs(evaluate(s.filters[1], g)) ** 2
         worst = max(worst, float(np.max(np.abs(2.0 * h0 + h1 - 2.0))))
     assert worst == 1.0
-    assert oep_residual(s, grid_log2=log2) == worst
+    assert oep_check(s, grid_log2=log2).residual == worst
+
+
+def test_validate_filter_fields_equal_standalone_calls(ex51, ex52):
+    """validate_setup's filter-condition fields are exactly what uep_residual
+    and oep_check report on their own."""
+    completion = two_generator_setup(
+        ex52.psi0_hat, ex52.filters[0], parse("1 + abs2(sin(g))"), TranslationSet(2, 3)
+    )
+    for s in (ex51, ex52, setup_from_dict(WEIGHT_TWO), completion):
+        rep = validate_setup(s, grid_log2=14)
+        assert rep.uep_residual == uep_residual(s, grid_log2=14)
+        if s.theta is None:
+            assert rep.oep_residual is None and rep.theta_min is None
+            continue
+        oep = oep_check(s, grid_log2=14)
+        assert rep.oep_residual == oep.residual
+        assert rep.theta_min == oep.theta_min
+    # Neither residual of the completion is trivially zero.
+    assert rep.uep_residual > 2.0 and rep.oep_residual > 2.0
 
 
 def test_oep_requires_weight(ex51):
@@ -232,7 +252,7 @@ def test_two_filter_completion_residual_equals_oracle(ex52):
     scan grid; with the trivial weight that is exactly 2."""
     ts = TranslationSet(2, 3)
     tg = two_generator_setup(ex52.psi0_hat, ex52.filters[0], parse("1"), ts)
-    assert oep_residual(tg, grid_log2=12) == 2.0
+    assert oep_check(tg, grid_log2=12).residual == 2.0
 
     theta = parse("1 + abs2(sin(g))")
     tg2 = two_generator_setup(ex52.psi0_hat, ex52.filters[0], theta, ts, grid_log2=12)
@@ -242,7 +262,7 @@ def test_two_filter_completion_residual_equals_oracle(ex52):
         h0 = np.abs(evaluate(ex52.filters[0], g)) ** 2
         t4 = 1.0 + np.sin(4.0 * g) ** 2
         worst = max(worst, float(np.max(2.0 * t4 * h0)))
-    assert abs(oep_residual(tg2, grid_log2=log2) - worst) <= 1e-10
+    assert abs(oep_check(tg2, grid_log2=log2).residual - worst) <= 1e-10
 
 
 def test_two_filter_completion_rejects_bad_weight(ex52):

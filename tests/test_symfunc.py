@@ -32,7 +32,6 @@ from nuframes.symfunc import (
     Var,
     count_nodes,
     dilate_arg,
-    essential_sup,
     evaluate,
     midpoint_chunks,
     parse,
@@ -417,11 +416,3 @@ def test_midpoint_chunks_blocks_concatenate():
     (one,) = list(midpoint_chunks(F(-1), F(3), 10))
     assert np.array_equal(whole, one)
     assert len(whole) == 1024
-
-
-def test_essential_sup():
-    assert essential_sup(Indicator(F(0), F(1, 4), False, True), (0, F(1, 2)), 12) == 1.0
-    got = essential_sup(Scale(F(2), Var()), (0, 1), 10)
-    assert got == 2.0 - 2.0**-10
-    with pytest.raises(ValueError, match="empty interval"):
-        essential_sup(Var(), (1, 1), 10)
