@@ -3,9 +3,10 @@
 The identity route integrates |f_hat((2N)^j g) psi_hat(g)|^2 over [0, 1/2],
 which equals the full lattice sum whenever the analyzing function is
 supported there.  The direct route actually sums |c_lambda|^2 over the
-truncated translation set {2m, r/N + 2m : |m| <= M}, one quadrature per
-coefficient.  The direct sums increase with M toward the identity value,
-and the leftover gap shrinks like 1/M for indicator data.
+truncated translation set {2m, r/N + 2m : |m| <= M}; every c_lambda is a
+midpoint quadrature, and those of one coset come from one inverse FFT.  The
+direct sums increase with M toward the identity value, and the leftover gap
+shrinks like 1/M for indicator data.
 """
 
 from fractions import Fraction

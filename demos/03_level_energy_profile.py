@@ -31,6 +31,5 @@ for j, v in level_profile(sig.fhat, setup, range(-5, 6), grid):
 
 smooth = preset("ex5.1")
 print("\ntelescoping residuals (smooth setup, should be ~0):")
-for j in (0, 1, 2):
-    r = telescoping_residual(sig.fhat, smooth, j, grid)
+for j, r in telescoping_residual(sig.fhat, smooth, (0, 1, 2), grid):
     print(f"  level {j}: {r:.3e}")

@@ -11,14 +11,12 @@ from .analysis import (
     FrameReport,
     FrequencyGrid,
     bessel_check,
-    coefficient,
     default_grid,
     lattice_sum_direct_detail,
     lattice_sum_parseval,
     level_profile,
     norm_sq,
     parseval_report,
-    quad,
     telescoping_residual,
 )
 from .errors import (
@@ -74,7 +72,6 @@ __all__ = [
     "ZeroScale",
     "bessel_check",
     "catalog",
-    "coefficient",
     "default_grid",
     "derive_generator",
     "dilate_arg",
@@ -92,7 +89,6 @@ __all__ = [
     "parseval_report",
     "preset",
     "preset_names",
-    "quad",
     "render",
     "setup_from_dict",
     "telescoping_residual",

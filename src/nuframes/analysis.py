@@ -1,4 +1,4 @@
-"""Frame analysis: quadrature, lattice sums by two independent routes, reports.
+"""Frame analysis: lattice sums by two independent routes, reports.
 
 Everything integrates by the midpoint rule on dyadic grids.  Midpoints of a
 dyadic grid never coincide with dyadic indicator breakpoints (those land on
@@ -10,7 +10,8 @@ routes:
 
   direct    : truncated lattice sum Σ_λ |c_λ|² of coefficient quadratures
               c_λ = ∫₀^{1/2} (2N)^{j/2} f̂((2N)^j γ) conj(ĝ(γ)) e^{2πiλγ} dγ
-              over the window λ ∈ {2m, r/N + 2m : |m| ≤ M};
+              over the window λ ∈ {2m, r/N + 2m : |m| ≤ M}, each coset's
+              quadratures taken at once by one inverse FFT;
   identity  : the closed form Σ_λ |c_λ|² = ∫₀^{1/2} |(2N)^{j/2} f̂((2N)^j γ)
               ĝ(γ)|² dγ, valid whenever supp ĝ ⊆ [0, 1/2] (both cosets of Λ
               contribute half of ‖f̂(...)ĝ‖² by Fourier-series completeness
@@ -104,17 +105,6 @@ def _require_working_window(grid: FrequencyGrid):
         )
 
 
-def quad(values, grid: FrequencyGrid) -> complex:
-    """Midpoint-rule integral h·Σ values (fsum over real and imaginary
-    parts separately, ascending index)."""
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape != (grid.n,):
-        raise ValueError(
-            f"values length {v.shape} does not match grid size {grid.n}"
-        )
-    return complex(math.fsum(v.real) * grid.h, math.fsum(v.imag) * grid.h)
-
-
 def _stream_real_integral(fn, grid: FrequencyGrid) -> float:
     """h·Σ fn(γ) over the grid, fn real-valued, chunked fsum."""
     partials = [math.fsum(fn(g)) for g in grid.chunks()]
@@ -150,29 +140,6 @@ def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
         ) from None
 
 
-def coefficient(
-    f_hat: FreqExpr,
-    g_hat: FreqExpr,
-    ts: TranslationSet,
-    j: int,
-    lam,
-    grid: FrequencyGrid | None = None,
-) -> complex:
-    """Single frame coefficient as a quadrature:
-    c_λ = ∫₀^{1/2} (2N)^{j/2} f̂((2N)^j γ) conj(ĝ(γ)) e^{2πiλγ} dγ."""
-    grid = _resolve_grid(grid)
-    _require_working_window(grid)
-    g = grid.points()
-    scale, amp = _level_scales(ts, j)
-    vals = (
-        amp
-        * evaluate(f_hat, scale * g)
-        * np.conj(evaluate(g_hat, g))
-        * np.exp((2j * np.pi * float(lam)) * g)
-    )
-    return quad(vals, grid)
-
-
 @dataclass(frozen=True)
 class DirectLevelSum:
     """Truncated direct-route lattice sum with its coset breakdown.
@@ -180,7 +147,8 @@ class DirectLevelSum:
     value == even_part + offset_part exactly (the two cosets are summed
     separately and added once).  value_at_half_m is the same sum truncated
     at |m| ≤ M//2; value − value_at_half_m estimates the coset tail, which
-    decays like 1/M for indicator-type data.
+    decays like 1/M for indicator-type data.  Every |c_λ|² of a coset is an
+    entry of one inverse FFT (_coset_sq).
     """
 
     value: float
@@ -190,27 +158,16 @@ class DirectLevelSum:
     M: int
 
 
-def _coset_sq(F: np.ndarray, g: np.ndarray, M: int, h: float) -> np.ndarray:
+def _coset_sq(F: np.ndarray, M: int, h: float) -> np.ndarray:
     """|h·Σ_k F_k e^{2πi(2m)γ_k}|² for m = −M…M, ascending.
 
-    Phases advance by cumulative multiplication with e^{4πiγ} (one vector
-    multiply and one BLAS dot per m), walking outward from m = 0 in each
-    direction so phase drift stays at the ulp scale.
+    On the midpoint grid γ_k = (k + ½)h with 2hn = 1 the sum is
+    e^{iπm/n}·Σ_k F_k e^{2πimk/n}, one inverse DFT of F; the unimodular
+    factor drops out of the modulus.  The caller's M·h ≤ 0.01 guard keeps
+    2M + 1 below n, so the wrapped indices m mod n are distinct.
     """
-    out = np.empty(2 * M + 1, dtype=np.complex128)
-    step = np.exp((4j * np.pi) * g)
-    P = np.ones_like(F)
-    for m in range(M + 1):
-        out[M + m] = np.dot(F, P)
-        if m < M:
-            P = P * step
-    step_c = np.conj(step)
-    P = step_c.copy()
-    for m in range(1, M + 1):
-        out[M - m] = np.dot(F, P)
-        if m < M:
-            P = P * step_c
-    c = h * out
+    S = np.fft.ifft(F, norm="forward")
+    c = h * S[np.arange(-M, M + 1) % len(F)]
     return c.real * c.real + c.imag * c.imag
 
 
@@ -224,8 +181,10 @@ def lattice_sum_direct_detail(
 ) -> DirectLevelSum:
     """Direct route: Σ over λ ∈ {2m, r/N + 2m : |m| ≤ M} of |c_λ|².
 
-    Each coset's |c_λ|² values are fsum-ed in ascending-λ order; the two
-    coset totals are added once at the end, so the coset split is exact by
+    The even coset's |c_λ|² come from one inverse FFT of the sampled
+    integrand F, the offset coset's from one of F·e^{2πi(r/N)γ}.  Each
+    coset's |c_λ|² values are fsum-ed in ascending-λ order; the two coset
+    totals are added once at the end, so the coset split is exact by
     construction.  Guards against M·h > 0.01 (phase under-resolution).
     """
     grid = _resolve_grid(grid)
@@ -251,9 +210,9 @@ def lattice_sum_direct_detail(
         * np.conj(evaluate(g_hat, g))
     )
     h = grid.h
-    sq_even = _coset_sq(F, g, M, h)
+    sq_even = _coset_sq(F, M, h)
     F_off = F * np.exp((2j * np.pi * float(ts.offset)) * g)
-    sq_off = _coset_sq(F_off, g, M, h)
+    sq_off = _coset_sq(F_off, M, h)
     even = math.fsum(sq_even)
     off = math.fsum(sq_off)
     half = M // 2
@@ -341,31 +300,36 @@ def bessel_check(
 def telescoping_residual(
     f_hat: FreqExpr,
     setup: GeneralSetup,
-    j: int,
+    j_list,
     grid: FrequencyGrid | None = None,
     uep_tol: float = 1e-8,
-) -> float:
-    """|Σ_{ℓ=0}^{n} S_{j−1}(ψ̂ₗ) − S_j(ψ̂₀)| where S is the identity-route
-    level sum (ℓ = 0 term uses ψ̂₀ itself).
+) -> list[tuple[int, float]]:
+    """(j, |Σ_{ℓ=0}^{n} S_{j−1}(ψ̂ₗ) − S_j(ψ̂₀)|) for each j in j_list, where
+    S is the identity-route level sum (ℓ = 0 term uses ψ̂₀ itself).
 
     The refinement structure collapses one level of generator sums into the
     next scaling-level sum when the filters satisfy the unitary condition;
-    that condition is checked first (UepPreconditionFailed otherwise).
+    that condition is checked once, first (UepPreconditionFailed otherwise).
+    The scaling sums S(ψ̂₀) that adjacent levels share are computed once.
     """
     grid = _resolve_grid(grid)
+    js = [int(j) for j in j_list]
     resid = uep_residual(setup, grid.log2_n)
     if resid > uep_tol:
         raise UepPreconditionFailed(
             f"filter condition residual {resid:.3e} exceeds {uep_tol:.1e}; "
             "the telescoping identity needs the unitary filter condition"
         )
-    terms = [lattice_sum_parseval(f_hat, setup.psi0_hat, setup.ts, j - 1, grid)]
-    for ell in range(1, setup.n + 1):
-        gen = derive_generator(setup, ell)
-        terms.append(lattice_sum_parseval(f_hat, gen, setup.ts, j - 1, grid))
-    lhs = math.fsum(terms)
-    rhs = lattice_sum_parseval(f_hat, setup.psi0_hat, setup.ts, j, grid)
-    return abs(lhs - rhs)
+    scaling_levels = sorted({k for j in js for k in (j - 1, j)})
+    scaling = dict(level_profile(f_hat, setup, scaling_levels, grid))
+    gens = [derive_generator(setup, ell) for ell in range(1, setup.n + 1)]
+    rows = []
+    for j in js:
+        terms = [scaling[j - 1]] + [
+            lattice_sum_parseval(f_hat, gen, setup.ts, j - 1, grid) for gen in gens
+        ]
+        rows.append((j, abs(math.fsum(terms) - scaling[j])))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -129,11 +129,16 @@ def _resolve_levels(args, default_min: int, default_max: int) -> tuple[int, int]
         if args.jmin is not None or args.jmax is not None:
             raise ValueError("give either --j or --jmin/--jmax, not both")
         t = args.j.strip()
-        if ".." in t:
-            lo, hi = t.split("..", 1)
-            a, b = int(lo), int(hi)
-        else:
-            a = b = int(t)
+        try:
+            if ".." in t:
+                lo, hi = t.split("..", 1)
+                a, b = int(lo), int(hi)
+            else:
+                a = b = int(t)
+        except ValueError:
+            raise ValueError(
+                f"--j expects A..B or one integer, got {args.j!r}"
+            ) from None
     else:
         a = default_min if args.jmin is None else args.jmin
         b = default_max if args.jmax is None else args.jmax
@@ -237,9 +242,7 @@ def _cmd_telescope(args) -> int:
     signal = _parse_signal(args.signal)
     j_min, j_max = _resolve_levels(args, 1, 1)
     nrm = norm_sq(signal.fhat, signal.support, grid)
-    rows = []
-    for j in range(j_min, j_max + 1):
-        rows.append((j, telescoping_residual(signal.fhat, setup, j, grid)))
+    rows = telescoping_residual(signal.fhat, setup, range(j_min, j_max + 1), grid)
     passed = all(resid <= args.tol * nrm for (_, resid) in rows)
     if args.format == "report":
         d = {

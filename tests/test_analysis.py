@@ -10,9 +10,9 @@ from nuframes import (
     SignalSpec,
     TranslationSet,
     bessel_check,
-    coefficient,
     default_grid,
     derive_generator,
+    evaluate,
     hann_bump,
     indicator_signal,
     lattice_sum_direct_detail,
@@ -21,9 +21,9 @@ from nuframes import (
     norm_sq,
     parse,
     parseval_report,
-    quad,
     telescoping_residual,
 )
+from nuframes.analysis import _coset_sq
 from nuframes.errors import SupportViolation, TruncationGuard, UepPreconditionFailed
 from nuframes.symfunc import ImaginaryUnit, RealConst, Scale, dilate_arg, product_of
 
@@ -31,7 +31,7 @@ TS = TranslationSet(2, 3)
 
 
 # ---------------------------------------------------------------------------
-# grids and plain quadrature
+# grids
 
 
 def test_grid_validation():
@@ -66,49 +66,78 @@ def test_default_grid():
     assert (g.a, g.b, g.log2_n) == (F(0), F(1, 2), 20)
 
 
-def test_quad_trig_closed_form():
-    g = FrequencyGrid(F(0), F(1), 10)
-    pts = g.points()
-    q = quad(np.sin(2 * np.pi * pts) ** 2, g)
-    assert abs(q.real - 0.5) < 1e-13
-    assert q.imag == 0.0
-    w = quad(np.exp(2j * np.pi * pts), g)
-    assert abs(w) < 1e-13
-
-
-def test_quad_length_mismatch():
-    g = FrequencyGrid(F(0), F(1), 10)
-    with pytest.raises(ValueError, match="does not match"):
-        quad(np.ones(7), g)
-
-
 # ---------------------------------------------------------------------------
-# single coefficients
+# the direct-route coefficient kernel
+
+
+def _quadrature_sq(values, g, lam, h):
+    """|c_λ|² by one midpoint quadrature at λ: an np.exp phase, then fsum
+    over the real and imaginary parts separately."""
+    v = values * np.exp((2j * np.pi * float(lam)) * g)
+    c = complex(math.fsum(v.real) * h, math.fsum(v.imag) * h)
+    return c.real * c.real + c.imag * c.imag
+
+
+@pytest.mark.parametrize(
+    "ts", [TS, TranslationSet(3, 1)], ids=lambda ts: f"N{ts.N}r{ts.r}"
+)
+def test_coset_kernel_matches_per_coefficient_quadrature(ex51, ts):
+    """Every |c_λ|² of both cosets, λ ∈ {2m, r/N + 2m : |m| ≤ M}, agrees
+    with its own quadrature; M = 81 is the largest the guard allows at 2^12."""
+    grid = FrequencyGrid(F(0), F(1, 2), 12)
+    M = 81
+    assert M * grid.h <= 0.01 < (M + 1) * grid.h
+    g, h = grid.points(), grid.h
+    j = 1
+    f = hann_bump(F(9, 64), F(31, 64)).fhat
+    gen = derive_generator(ex51, 1)
+    integrand = (
+        float(ts.dilation) ** (0.5 * j)
+        * evaluate(f, float(ts.dilation) ** j * g)
+        * np.conj(evaluate(gen, g))
+    )
+    ms = range(-M, M + 1)
+    cosets = [
+        (_coset_sq(integrand, M, h), [2 * m for m in ms]),
+        (
+            _coset_sq(integrand * np.exp((2j * np.pi * float(ts.offset)) * g), M, h),
+            [ts.offset + 2 * m for m in ms],
+        ),
+    ]
+    for got, lams in cosets:
+        want = np.array([_quadrature_sq(integrand, g, lam, h) for lam in lams])
+        assert got.shape == want.shape == (2 * M + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 def test_coefficient_against_antiderivative():
-    g_hat = parse("chi(1/8,1/2]")
-    c2 = coefficient(parse("1"), g_hat, TS, 0, 2)
-    want = -(1 + 1j) / (4 * math.pi)
-    assert abs(c2 - want) < 1e-11
-    c0 = coefficient(parse("1"), g_hat, TS, 0, 0)
-    assert c0 == 0.375
+    """Closed forms for the indicator χ(1/8, 1/2] on the even coset:
+    c₀ = 3/8 and c₂ = −(1 + i)/(4π)."""
+    grid = default_grid()
+    g, h = grid.points(), grid.h
+    even = _coset_sq(np.conj(evaluate(parse("chi(1/8,1/2]"), g)), 1, h)
+    assert even[1] == 0.140625
+    assert abs(even[2] - 1 / (8 * math.pi**2)) < 1e-11
 
 
 def test_coefficient_offset_element():
-    """A fractional translation just evaluates the phase at r/N + 2m."""
-    g_hat = parse("chi(1/8,1/2]")
-    lam = float(F(3, 2))
-    c = coefficient(parse("1"), g_hat, TS, 0, lam)
+    """A fractional translation is the same transform of the phase-shifted
+    integrand; its m = 0 entry is c at λ = r/N = 3/2."""
+    grid = default_grid()
+    g, h = grid.points(), grid.h
+    integrand = np.conj(evaluate(parse("chi(1/8,1/2]"), g))
+    lam = float(TS.offset)
+    off = _coset_sq(integrand * np.exp((2j * np.pi * lam) * g), 1, h)
     k = 2j * math.pi * lam
     want = (math.e ** (k * 0.5) - math.e ** (k * 0.125)) / k
-    assert abs(c - want) < 1e-11
+    assert abs(off[1] - abs(want) ** 2) < 1e-11
 
 
 def test_coefficient_requires_working_window():
-    g = FrequencyGrid(F(0), F(1), 14)
+    wide = FrequencyGrid(F(0), F(1), 14)
+    sig = indicator_signal(F(1, 8), F(1, 2))
     with pytest.raises(ValueError, match=r"\[0, 1/2\]"):
-        coefficient(parse("1"), parse("chi(1/8,1/2]"), TS, 0, 0, g)
+        lattice_sum_direct_detail(sig.fhat, parse("chi(1/8,1/2]"), TS, 0, M=16, grid=wide)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +256,8 @@ def test_unimodular_analyzer_invariance(sharp, grid14):
 def test_telescoping(ex51, grid14):
     sig = hann_bump(F(9, 64), F(31, 64))
     nrm = norm_sq(sig.fhat, sig.support, grid14)
-    for j in (0, 1):
-        resid = telescoping_residual(sig.fhat, ex51, j, grid14)
+    rows = telescoping_residual(sig.fhat, ex51, (0, 1), grid14)
+    for _, resid in rows:
         assert resid <= 1e-10 * nrm
 
 
@@ -238,7 +267,7 @@ def test_telescoping_requires_filter_condition(grid14):
     )
     sig = indicator_signal(F(1, 8), F(1, 2))
     with pytest.raises(UepPreconditionFailed, match="filter condition"):
-        telescoping_residual(sig.fhat, bad, 0, grid14)
+        telescoping_residual(sig.fhat, bad, [0], grid14)
 
 
 def test_norm_sq(grid14):

@@ -160,6 +160,16 @@ def test_parseval_j_flag_conflict(capsys):
     assert "not both" in err
 
 
+def test_malformed_level_window_names_the_option(capsys):
+    code, _, err = run(
+        capsys, "levels", "--preset", "ex5.2", "--signal", "ind(1/8,1/2)",
+        "--j", "0..x",
+    )
+    assert code == 2
+    assert "--j expects A..B or one integer, got '0..x'" in err
+    assert "invalid literal" not in err
+
+
 def test_parseval_bad_signal_expression(capsys):
     code, _, err = run(
         capsys, "parseval", "--preset", "ex5.2", "--signal", "sin(",
