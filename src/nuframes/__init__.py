@@ -10,7 +10,6 @@ from .analysis import (
     DirectLevelSum,
     FrameReport,
     FrequencyGrid,
-    bessel_check,
     default_grid,
     lattice_sum_direct_detail,
     lattice_sum_parseval,
@@ -70,7 +69,6 @@ __all__ = [
     "UepPreconditionFailed",
     "UnknownIdentifier",
     "ZeroScale",
-    "bessel_check",
     "catalog",
     "default_grid",
     "derive_generator",

@@ -2,8 +2,15 @@
 
 Everything integrates by the midpoint rule on dyadic grids.  Midpoints of a
 dyadic grid never coincide with dyadic indicator breakpoints (those land on
-cell boundaries), so piecewise definitions cost no accuracy, and sums use
-math.fsum (exactly rounded, ascending index), so results are bit-reproducible.
+cell boundaries), so piecewise definitions cost no accuracy, and each
+integral is one math.fsum over all its cells (exactly rounded, ascending
+index), so results are bit-reproducible and independent of chunking.
+
+Integrals evaluate only the cells that can meet the support symfunc's
+zero_outside proves for their integrand, widened by one cell on each side.
+Every skipped cell holds an exact zero, and an exactly rounded sum or a max
+does not change when zeros are dropped, so the results are the same bits as
+a scan of every cell.  Where nothing is proved, every cell is evaluated.
 
 The Parseval frame property is verified by two deliberately independent
 routes:
@@ -23,6 +30,7 @@ frame identity actually holds for the setup at hand.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +42,15 @@ from .errors import SupportViolation, TruncationGuard, UepPreconditionFailed
 from .lattice import TranslationSet
 from .setups import GeneralSetup, derive_generator, uep_residual
 from .signals import SignalSpec
-from .symfunc import FreqExpr, evaluate, midpoint_chunks
+from .symfunc import (
+    FreqExpr,
+    cell_chunks,
+    cell_range,
+    evaluate,
+    midpoint_chunks,
+    render,
+    zero_outside,
+)
 
 _POINTS_MAX_LOG2 = 22
 _SUPPORT_PROBES = 64
@@ -105,14 +121,38 @@ def _require_working_window(grid: FrequencyGrid):
         )
 
 
-def _stream_real_integral(fn, grid: FrequencyGrid) -> float:
-    """h·Σ fn(γ) over the grid, fn real-valued, chunked fsum."""
-    partials = [math.fsum(fn(g)) for g in grid.chunks()]
-    return math.fsum(partials) * grid.h
+def _stream_real_integral(fn, grid: FrequencyGrid, interval) -> float:
+    """h·Σ fn(γ) over the grid cells that can meet the closed interval (every
+    cell when it is None), fn real-valued and exactly zero elsewhere.
+
+    One fsum takes the values of every chunk, so the result does not depend
+    on the chunking.  Overflow gives inf or nan, without a RuntimeWarning.
+    """
+    k0, k1 = cell_range(grid.a, grid.b, grid.log2_n, interval)
+    chunks = cell_chunks(grid.a, grid.b, grid.log2_n, k0, k1)
+    with np.errstate(all="ignore"):
+        try:
+            total = math.fsum(itertools.chain.from_iterable(map(fn, chunks)))
+        except OverflowError:
+            total = math.inf
+    return total * grid.h
 
 
-def _require_half_line_support(g_hat: FreqExpr):
-    """Probe that ĝ has no detectable mass outside [0, 1/2]."""
+def _not_finite(what: str, value: float) -> ValueError:
+    return ValueError(
+        f"{what} is {value!r}: a value overflows a float; scale the signal down"
+    )
+
+
+def _half_line_support(g_hat: FreqExpr):
+    """The interval zero_outside proves for ĝ on [−4, 4], or None.
+
+    When that interval does not lie in [0, 1/2], probe that ĝ has no
+    detectable mass outside [0, 1/2] (SupportViolation otherwise).
+    """
+    iv = zero_outside(g_hat, -_SUPPORT_REACH, _SUPPORT_REACH)
+    if iv is not None and (iv[0] > iv[1] or (0 <= iv[0] and iv[1] <= Fraction(1, 2))):
+        return iv
     ks = np.arange(_SUPPORT_PROBES) + 0.5
     above = 0.5 + ks * ((_SUPPORT_REACH - 0.5) / _SUPPORT_PROBES)
     below = 0.0 - ks * (_SUPPORT_REACH / _SUPPORT_PROBES)
@@ -125,6 +165,7 @@ def _require_half_line_support(g_hat: FreqExpr):
                 f"analyzing function has magnitude {worst:.3e} at "
                 f"gamma={float(probes[i])}, outside [0, 1/2]"
             )
+    return iv
 
 
 def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
@@ -138,6 +179,23 @@ def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
             f"level {j} is out of range: the dilation {ts.dilation} to the "
             f"power {j} overflows a float"
         ) from None
+
+
+def _level_support(f_hat: FreqExpr, g_iv, scale: float):
+    """Interval in γ outside which f̂(scale·γ)·ĝ(γ) is exactly zero on
+    [0, 1/2], given ĝ's interval g_iv, or None.
+
+    f̂'s interval maps back through the float scale that evaluation
+    multiplies by.  Below 2^−1000 the products scale·γ are subnormal and
+    may stray by more than a cell, so nothing is proved there.
+    """
+    if g_iv is None or not scale >= 2.0**-1000:
+        return None
+    s = Fraction(scale)
+    f_iv = zero_outside(f_hat, 0, s / 2)
+    if f_iv is None:
+        return None
+    return max(g_iv[0], f_iv[0] / s), min(g_iv[1], f_iv[1] / s)
 
 
 @dataclass(frozen=True)
@@ -182,7 +240,9 @@ def lattice_sum_direct_detail(
     """Direct route: Σ over λ ∈ {2m, r/N + 2m : |m| ≤ M} of |c_λ|².
 
     The even coset's |c_λ|² come from one inverse FFT of the sampled
-    integrand F, the offset coset's from one of F·e^{2πi(r/N)γ}.  Each
+    integrand F, the offset coset's from one of F·e^{2πi(r/N)γ}.  F is
+    evaluated on the cells that can meet its proven support and is zero
+    elsewhere (see the module docstring).  Each
     coset's |c_λ|² values are fsum-ed in ascending-λ order; the two coset
     totals are added once at the end, so the coset split is exact by
     construction.  Guards against M·h > 0.01 (phase under-resolution).
@@ -201,20 +261,22 @@ def lattice_sum_direct_detail(
             f"M*h = {M * grid.h:.4g} > 0.01: the phase e^(2pi i lambda gamma) "
             "would be under-resolved; refine the grid or shrink M"
         )
-    _require_half_line_support(g_hat)
-    g = grid.points()
+    g_iv = _half_line_support(g_hat)
     scale, amp = _level_scales(ts, j)
-    F = (
-        amp
-        * evaluate(f_hat, scale * g)
-        * np.conj(evaluate(g_hat, g))
-    )
+    k0, k1 = cell_range(grid.a, grid.b, grid.log2_n, _level_support(f_hat, g_iv, scale))
+    g = grid.points()[k0:k1]
     h = grid.h
-    sq_even = _coset_sq(F, M, h)
-    F_off = F * np.exp((2j * np.pi * float(ts.offset)) * g)
-    sq_off = _coset_sq(F_off, M, h)
+    F = np.zeros(grid.n, dtype=np.complex128)
+    F_off = np.zeros_like(F)
+    with np.errstate(all="ignore"):
+        F[k0:k1] = amp * evaluate(f_hat, scale * g) * np.conj(evaluate(g_hat, g))
+        F_off[k0:k1] = F[k0:k1] * np.exp((2j * np.pi * float(ts.offset)) * g)
+        sq_even = _coset_sq(F, M, h)
+        sq_off = _coset_sq(F_off, M, h)
     even = math.fsum(sq_even)
     off = math.fsum(sq_off)
+    if not math.isfinite(even + off):
+        raise _not_finite(f"the level-{j} direct sum against {render(g_hat)}", even + off)
     half = M // 2
     sl = slice(M - half, M + half + 1)
     value_half = math.fsum(sq_even[sl]) + math.fsum(sq_off[sl])
@@ -237,18 +299,29 @@ def lattice_sum_parseval(
     """Identity route: ∫₀^{1/2} |(2N)^{j/2} f̂((2N)^j γ) ĝ(γ)|² dγ.
 
     Equals the full (untruncated) lattice sum whenever ĝ is supported in
-    [0, 1/2]; that support is probed and violations raise SupportViolation.
+    [0, 1/2]; that support is proved by zero_outside or else probed, and
+    violations raise SupportViolation.
+
+    Only the cells where both f̂((2N)^j γ) and ĝ(γ) may be nonzero are
+    evaluated, widened by one cell on each side; every other cell holds an
+    exact zero, so the exactly rounded sum is the same bits as over the
+    whole grid.  A disjoint pair returns 0.0 without evaluating anything.
+    A sum that overflows to inf or nan raises ValueError naming the level
+    and ĝ.
     """
     grid = _resolve_grid(grid)
     _require_working_window(grid)
-    _require_half_line_support(g_hat)
+    g_iv = _half_line_support(g_hat)
     scale = _level_scales(ts, j)[0]
 
     def integrand(g):
         u = evaluate(f_hat, scale * g) * evaluate(g_hat, g)
         return scale * (u.real * u.real + u.imag * u.imag)
 
-    return _stream_real_integral(integrand, grid)
+    value = _stream_real_integral(integrand, grid, _level_support(f_hat, g_iv, scale))
+    if not math.isfinite(value):
+        raise _not_finite(f"the level-{j} sum against {render(g_hat)}", value)
+    return value
 
 
 def level_profile(
@@ -268,7 +341,13 @@ def level_profile(
 
 def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> float:
     """quad of |f̂|² over the support interval, at the grid's resolution
-    (a fresh midpoint grid is laid over the support)."""
+    (a fresh midpoint grid is laid over the support).
+
+    Only the cells that can meet the support zero_outside proves for f̂ are
+    evaluated, widened by one cell on each side; the others hold exact
+    zeros, so the exactly rounded sum is the same bits as over every cell.
+    A norm that overflows to inf or nan raises ValueError.
+    """
     grid = _resolve_grid(grid)
     a, b = (Fraction(x) for x in support)
     sub = FrequencyGrid(a, b, grid.log2_n)
@@ -277,24 +356,10 @@ def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> floa
         v = evaluate(f_hat, g)
         return v.real * v.real + v.imag * v.imag
 
-    return _stream_real_integral(integrand, sub)
-
-
-def bessel_check(
-    signal: SignalSpec,
-    setup: GeneralSetup,
-    grid: FrequencyGrid | None = None,
-) -> tuple[float, bool]:
-    """Level-0 sum against ψ̂₀ and whether it is ≤ (1 + 1e-9)·‖f‖².
-
-    The sum is a lattice sum of coefficients against unit-norm-bounded ψ̂₀,
-    so it can never exceed the signal's energy; the slack covers quadrature
-    noise between the two independent integrals.
-    """
-    grid = _resolve_grid(grid)
-    s = lattice_sum_parseval(signal.fhat, setup.psi0_hat, setup.ts, 0, grid)
-    nrm = norm_sq(signal.fhat, signal.support, grid)
-    return s, s <= (1.0 + 1e-9) * nrm
+    value = _stream_real_integral(integrand, sub, zero_outside(f_hat, a, b))
+    if not math.isfinite(value):
+        raise _not_finite(f"the squared norm of the signal over [{a}, {b}]", value)
+    return value
 
 
 def telescoping_residual(

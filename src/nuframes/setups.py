@@ -30,10 +30,13 @@ from .symfunc import (
     PositiveReciprocal,
     RationalConst,
     Sqrt,
+    cell_chunks,
+    cell_range,
     dilate_arg,
     evaluate,
     midpoint_chunks,
     product_of,
+    zero_outside,
 )
 
 # Residual tolerance for hypothesis checks; the 0⁺ normalization probe gets
@@ -142,6 +145,15 @@ def _theta_values(theta: FreqExpr, g: np.ndarray) -> np.ndarray:
     return t
 
 
+def _sup(acc: float, v: np.ndarray, what: str) -> float:
+    """max(acc, max |v|); an inf or nan in v raises ValueError naming what
+    (Python's max would drop a nan)."""
+    m = float(np.max(np.abs(v)))
+    if not math.isfinite(m):
+        raise ValueError(f"the {what} is {m!r}: a value overflows a float")
+    return max(acc, m)
+
+
 def _limit_deviation(e: FreqExpr) -> float:
     """max |e(2^(−k)) − 1| over the dyadic probe k = 12…40."""
     probes = np.array([2.0**-k for k in _LIMIT_PROBE_KS])
@@ -149,6 +161,7 @@ def _limit_deviation(e: FreqExpr) -> float:
     return float(np.max(np.abs(v - 1.0)))
 
 
+@np.errstate(all="ignore")
 def _filter_scan(
     ts: TranslationSet,
     filters: tuple[FreqExpr, ...],
@@ -179,9 +192,9 @@ def _filter_scan(
             u += a
             if theta is not None:
                 w += a
-        uep = max(uep, float(np.max(np.abs(u - 1.0))))
+        uep = _sup(uep, u - 1.0, "filter condition residual")
         if theta is not None:
-            oep = max(oep, float(np.max(np.abs(w - t))))
+            oep = _sup(oep, w - t, "weighted filter condition residual")
     return (uep, None, None) if theta is None else (uep, oep, tmin)
 
 
@@ -202,6 +215,7 @@ def oep_check(s: GeneralSetup, grid_log2: int = 20) -> OepReport:
     return OepReport(residual, tmin, _limit_deviation(s.theta))
 
 
+@np.errstate(all="ignore")
 def validate_setup(
     s: GeneralSetup,
     grid_log2: int = 20,
@@ -223,12 +237,15 @@ def validate_setup(
     for g in midpoint_chunks(0, quarter, grid_log2):
         lhs = evaluate(s.psi0_hat, d * g)
         rhs = evaluate(s.filters[0], g) * evaluate(s.psi0_hat, g)
-        refinement = max(refinement, float(np.max(np.abs(lhs - rhs))))
+        refinement = _sup(refinement, lhs - rhs, "refinement residual")
 
+    # Only cells that can meet ψ̂₀'s proven support are scanned; the others
+    # hold exact zeros, which cannot raise the max.
     leak = 0.0
     for a, b in ((quarter, SUPPORT_SCAN_REACH), (-SUPPORT_SCAN_REACH, Fraction(0))):
-        for g in midpoint_chunks(a, b, grid_log2):
-            leak = max(leak, float(np.max(np.abs(evaluate(s.psi0_hat, g)))))
+        k0, k1 = cell_range(a, b, grid_log2, zero_outside(s.psi0_hat, a, b))
+        for g in cell_chunks(a, b, grid_log2, k0, k1):
+            leak = _sup(leak, evaluate(s.psi0_hat, g), "support leak")
 
     limit_dev = _limit_deviation(s.psi0_hat)
     uep, oep, theta_min = _filter_scan(s.ts, s.filters, s.theta, grid_log2)

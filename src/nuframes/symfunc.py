@@ -26,6 +26,7 @@ point where the argument is not strictly positive raises ThetaNotPositive.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,12 +243,15 @@ def evaluate(e: FreqExpr, gamma):
 
     Vectorizes over numpy arrays; scalars come back as python complex.
     The frequency variable is real; intermediate values are complex128.
+    Overflow gives inf or nan without a RuntimeWarning; callers that reduce
+    the values check them for finiteness and name what overflowed.
     """
     g = np.asarray(gamma, dtype=np.float64)
-    if g.ndim == 0:
-        out = _eval(e, g.reshape(1))
-        return complex(out[0])
-    return _eval(e, g)
+    with np.errstate(all="ignore"):
+        if g.ndim == 0:
+            out = _eval(e, g.reshape(1))
+            return complex(out[0])
+        return _eval(e, g)
 
 
 def _first_bad(g, v, mask):
@@ -317,6 +321,86 @@ def _eval(e: FreqExpr, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# support pass
+
+# Largest magnitude bound the support pass accepts for any node.  The margin
+# below the float maximum (about 1.8e308) absorbs the rounding of every
+# intermediate value the bound covers.
+_MAX_BOUND = 1e300
+
+
+class _Unproven(Exception):
+    """A subtree admits no support proof."""
+
+
+def zero_outside(e: FreqExpr, lo, hi) -> tuple[Fraction, Fraction] | None:
+    """Closed interval (a, b) outside which evaluate(e, γ) is exactly ±0 for
+    every float γ in [lo, hi], or None when nothing can be proved.
+
+    a > b means e vanishes on the whole domain.  An Indicator contributes
+    the floats its evaluation compares against; a Product meets its
+    factors' intervals, a Sum takes the hull of its terms', and Sin, Scale,
+    Negate, Conj and Abs2 pass their argument's through.
+
+    A zero times a finite value is a zero, but times inf or nan it is nan,
+    so the same pass bounds |e| on [lo, hi], including every partial sum
+    and partial product, and proves nothing unless each bound is at most
+    _MAX_BOUND.  Sqrt and recip (whose evaluation raises), non-finite or
+    huge constants, and sin, cos and sinc of a complex argument also prove
+    nothing.
+    """
+    try:
+        return _support(e, Fraction(lo), Fraction(hi))[0]
+    except (_Unproven, OverflowError):
+        return None
+
+
+def _support(e: FreqExpr, lo: Fraction, hi: Fraction):
+    """(interval, bound on |e|, e real-valued) on [lo, hi]."""
+    iv, bound, real = _support_node(e, lo, hi)
+    if not bound <= _MAX_BOUND:
+        raise _Unproven
+    return iv, bound, real
+
+
+def _support_node(e: FreqExpr, lo: Fraction, hi: Fraction):
+    whole = (lo, hi)
+    if isinstance(e, (RationalConst, RealConst)):
+        return whole, abs(float(e.value)), True
+    if isinstance(e, ImaginaryUnit):
+        return whole, 1.0, False
+    if isinstance(e, Var):
+        return whole, float(max(abs(lo), abs(hi))), True
+    if isinstance(e, Indicator):
+        return (max(lo, Fraction(float(e.lo))), min(hi, Fraction(float(e.hi)))), 1.0, True
+    if isinstance(e, (Sin, Cos, Sinc)):
+        iv, _, real = _support(e.arg, lo, hi)
+        if not real:
+            raise _Unproven
+        return (iv if isinstance(e, Sin) else whole), 1.0, True
+    if isinstance(e, (Abs2, Conj, Negate)):
+        iv, bound, real = _support(e.arg, lo, hi)
+        if isinstance(e, Abs2):
+            return iv, bound * bound, True
+        return iv, bound, real
+    if isinstance(e, Scale):
+        iv, bound, real = _support(e.arg, lo, hi)
+        return iv, abs(float(e.coeff)) * bound, real
+    if isinstance(e, Sum):
+        parts = [_support(t, lo, hi) for t in e.terms]
+        ivs = [iv for iv, _, _ in parts if iv[0] <= iv[1]]
+        iv = (min(a for a, _ in ivs), max(b for _, b in ivs)) if ivs else parts[0][0]
+        return iv, sum(b for _, b, _ in parts), all(r for _, _, r in parts)
+    if isinstance(e, Product):
+        parts = [_support(f, lo, hi) for f in e.factors]
+        iv = (max(iv[0] for iv, _, _ in parts), min(iv[1] for iv, _, _ in parts))
+        # Factors below 1 count as 1, so every partial product is covered.
+        bound = math.prod(max(b, 1.0) for _, b, _ in parts)
+        return iv, bound, all(r for _, _, r in parts)
+    raise _Unproven
+
+
+# ---------------------------------------------------------------------------
 # argument dilation
 
 
@@ -366,12 +450,40 @@ def midpoint_chunks(a, b, log2_n: int, chunk: int = 1 << 20):
     Midpoints are a + (k + 1/2)·h with h = (b − a)/2^log2_n, ascending.
     For dyadic a, b the values are exact float64.
     """
-    n = 1 << log2_n
-    h = float((Fraction(b) - Fraction(a)) / n)
+    return cell_chunks(a, b, log2_n, 0, 1 << log2_n, chunk)
+
+
+def cell_chunks(a, b, log2_n: int, k0: int, k1: int, chunk: int = 1 << 20):
+    """Yield the midpoints of cells k0 ≤ k < k1 of the grid of
+    midpoint_chunks(a, b, log2_n) in blocks, each the same float that
+    midpoint_chunks yields for that cell."""
+    h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
     a_f = float(a)
-    for k0 in range(0, n, chunk):
-        k = np.arange(k0, min(k0 + chunk, n), dtype=np.float64)
+    for s in range(k0, k1, chunk):
+        k = np.arange(s, min(s + chunk, k1), dtype=np.float64)
         yield a_f + (k + 0.5) * h
+
+
+def cell_range(a, b, log2_n: int, interval) -> tuple[int, int]:
+    """Cells [k0, k1) of the grid of midpoint_chunks(a, b, log2_n) whose
+    exact midpoints lie in the closed interval, widened by one cell on each
+    side; every cell when interval is None, none when it is empty.
+
+    A float midpoint strays from the exact one by a few ulps of
+    max(|a|, |b|), which the widening covers while that is far below a cell;
+    on a grid too fine for that every cell is kept.
+    """
+    a, b = Fraction(a), Fraction(b)
+    n = 1 << log2_n
+    h = (b - a) / n
+    if interval is None or max(abs(a), abs(b)) >= h * (1 << 48):
+        return 0, n
+    lo, hi = interval
+    if lo > hi:
+        return 0, 0
+    k0 = min(max(math.ceil((lo - a) / h - Fraction(1, 2)) - 1, 0), n)
+    k1 = min(math.floor((hi - a) / h - Fraction(1, 2)) + 2, n)
+    return k0, max(k1, k0)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +651,17 @@ class _Parser:
             if den == 0:
                 self.error("denominator must be positive", md.start())
             self.pos = md.end()
-            return Fraction(int(text), den)
-        return Fraction(text)
+            value = Fraction(int(text), den)
+        else:
+            value = Fraction(text)
+        try:
+            float(value)
+        except OverflowError:
+            self.error(
+                f"constant {self.text[m.start():self.pos]} is outside the float range",
+                m.start(),
+            )
+        return value
 
 
 def _negated(e: FreqExpr) -> FreqExpr:

@@ -6,10 +6,11 @@ import pytest
 
 from nuframes import (
     FrequencyGrid,
+    render,
     GeneralSetup,
     SignalSpec,
     TranslationSet,
-    bessel_check,
+    catalog,
     default_grid,
     derive_generator,
     evaluate,
@@ -24,8 +25,23 @@ from nuframes import (
     telescoping_residual,
 )
 from nuframes.analysis import _coset_sq
-from nuframes.errors import SupportViolation, TruncationGuard, UepPreconditionFailed
-from nuframes.symfunc import ImaginaryUnit, RealConst, Scale, dilate_arg, product_of
+from nuframes.errors import (
+    NegativeSqrt,
+    SupportViolation,
+    ThetaNotPositive,
+    TruncationGuard,
+    UepPreconditionFailed,
+)
+from nuframes.symfunc import (
+    ImaginaryUnit,
+    Indicator,
+    RealConst,
+    Scale,
+    dilate_arg,
+    midpoint_chunks,
+    product_of,
+    zero_outside,
+)
 
 TS = TranslationSet(2, 3)
 
@@ -210,6 +226,140 @@ def test_working_window_enforced(grid14):
 
 
 # ---------------------------------------------------------------------------
+# support-restricted integrals against full-grid oracles
+
+
+def _full_grid_level_sum(f_hat, g_hat, ts, j, grid):
+    """The identity-route sum over every cell of the grid: one fsum."""
+    scale = float(ts.dilation) ** j
+    g = np.concatenate(list(midpoint_chunks(grid.a, grid.b, grid.log2_n)))
+    u = evaluate(f_hat, scale * g) * evaluate(g_hat, g)
+    return math.fsum(scale * (u.real * u.real + u.imag * u.imag)) * grid.h
+
+
+def test_level_sums_equal_full_grid_oracle(ex51, ex52, grid14):
+    """Bit for bit, over every preset generator, the catalog and indicators
+    whose open or closed brackets land on cell edges, at levels -4..4; many
+    of these pairs have disjoint supports."""
+    signals = [s.fhat for s in catalog()] + [
+        parse(t) for t in ("chi[1/8,1/4)", "chi(3/16,1/4]", "chi(1/64,3/64)")
+    ]
+    empty = 0
+    for setup in (ex51, ex52):
+        for ell in range(1, setup.n + 1):
+            gen = derive_generator(setup, ell)
+            for f in signals:
+                for j in range(-4, 5):
+                    got = lattice_sum_parseval(f, gen, setup.ts, j, grid14)
+                    want = _full_grid_level_sum(f, gen, setup.ts, j, grid14)
+                    assert got == want, (ell, render(f), j)
+                    empty += want == 0.0
+    assert empty > 0
+
+
+def test_direct_sums_equal_full_grid_oracle(ex51, ex52, grid14):
+    """F is evaluated on the support cells only and zero elsewhere; the
+    coset sums are the same bits as from F sampled on every cell."""
+    h = grid14.h
+    g = grid14.points()
+    for setup in (ex51, ex52):
+        d = float(setup.ts.dilation)
+        phase = np.exp((2j * np.pi * float(setup.ts.offset)) * g)
+        for ell in range(1, setup.n + 1):
+            gen = derive_generator(setup, ell)
+            for sig in catalog():
+                for j in range(-2, 5):
+                    F_full = (d ** (0.5 * j) * evaluate(sig.fhat, d**j * g)
+                              * np.conj(evaluate(gen, g)))
+                    even = math.fsum(_coset_sq(F_full, 64, h))
+                    off = math.fsum(_coset_sq(F_full * phase, 64, h))
+                    got = lattice_sum_direct_detail(sig.fhat, gen, setup.ts, j, M=64,
+                                                    grid=grid14)
+                    assert (got.even_part, got.offset_part) == (even, off), (ell, j)
+
+
+def test_level_sum_keeps_cells_a_rounded_scale_moves():
+    """With dilation 6 the scale 6^-1 is inexact and scale·γ rounds.  An
+    indicator starting exactly at a product that rounded up takes in a
+    cell whose exact product lies below it; the one-cell widening keeps it."""
+    ts = TranslationSet(3, 1)
+    grid = FrequencyGrid(F(0), F(1, 2), 10)
+    g = grid.points()
+    x = 6.0**-1 * g
+    k = next(k for k in range(grid.n) if F(x[k]) > F(6.0**-1) * F(g[k]))
+    f = Indicator(F(x[k]), F(1), True, True)
+    gen = parse("chi(0,1/2]")
+    got = lattice_sum_parseval(f, gen, ts, -1, grid)
+    assert got == _full_grid_level_sum(f, gen, ts, -1, grid)
+
+
+def test_level_sum_with_subnormal_scale_keeps_every_cell(ex52, grid14):
+    """At 4^-535 the products scale·γ of the first thousand cells underflow
+    to 0, inside chi[-1,0], though their exact values lie outside it; at
+    4^-600 the scale itself is 0.  Neither level skips a cell."""
+    f = parse(f"{2**40}*chi[-1,0]")
+    sums = [lattice_sum_parseval(f, ex52.psi0_hat, ex52.ts, j, grid14) for j in (-535, -600)]
+    assert sums[0] > 0.0
+    for j, got in zip((-535, -600), sums):
+        assert got == _full_grid_level_sum(f, ex52.psi0_hat, ex52.ts, j, grid14)
+
+
+def test_integrals_on_two_chunks_take_one_fsum(ex52):
+    """At 2^21 cells the grid streams in two chunks; the integral is the
+    exactly rounded sum over both, whichever cells the support pass keeps."""
+    grid = FrequencyGrid(F(0), F(1, 2), 21)
+    sig = hann_bump(F(3, 16), F(5, 16))
+    g = np.concatenate(list(midpoint_chunks(F(3, 16), F(5, 16), 21)))
+    v = evaluate(sig.fhat, g)
+    want = math.fsum(v.real * v.real + v.imag * v.imag) * float(F(1, 8) / (1 << 21))
+    assert norm_sq(sig.fhat, sig.support, grid) == want
+    gen = derive_generator(ex52, 1)
+    got = lattice_sum_parseval(sig.fhat, gen, ex52.ts, 0, grid)
+    assert got == _full_grid_level_sum(sig.fhat, gen, ex52.ts, 0, grid)
+
+
+def test_unproved_integrands_are_evaluated_everywhere(ex52, grid14):
+    """Sqrt, recip and overflowing products prove no support, so their
+    errors surface even where the analyzing function's support would
+    otherwise skip every cell."""
+    gen = derive_generator(ex52, 1)
+    sqrt_f = parse("sqrt(g-1)*chi(0,1/4]")
+    recip_f = parse("recip(g - 1/8)*chi(1/8,1/4]")
+    for j in (-4, 0, 4):
+        with pytest.raises(NegativeSqrt):
+            lattice_sum_parseval(sqrt_f, gen, ex52.ts, j, grid14)
+        with pytest.raises(ThetaNotPositive):
+            lattice_sum_parseval(recip_f, gen, ex52.ts, j, grid14)
+    with pytest.raises(NegativeSqrt):
+        norm_sq(sqrt_f, (F(1, 2), F(1)), grid14)
+    big = parse("1e200*1e200*chi(0,1/4]")
+    assert zero_outside(big, 0, F(1, 2)) is None
+    for j in (-4, 3):
+        with pytest.raises(ValueError, match=f"level-{j} sum against .* nan"):
+            lattice_sum_parseval(big, gen, ex52.ts, j, grid14)
+    # finite values whose exact sum overflows: fsum's OverflowError becomes inf
+    with pytest.raises(ValueError, match="level-0 sum against chi.* is inf"):
+        lattice_sum_parseval(parse("1e154*chi(0,1/4]"), ex52.psi0_hat, ex52.ts, 0, grid14)
+    with pytest.raises(ValueError, match="level-0 direct sum"):
+        lattice_sum_direct_detail(big, gen, ex52.ts, 0, M=16, grid=grid14)
+    with pytest.raises(ValueError, match="squared norm of .* over"):
+        norm_sq(parse("1e200*chi(0,1/4]"), (F(0), F(1, 4)), grid14)
+
+
+def test_norm_sq_far_from_zero_keeps_every_cell():
+    """Where float midpoints stray by more than a cell, nothing is skipped:
+    here every midpoint rounds to 1000, inside the indicator's float bounds,
+    while the exact midpoints mostly lie below them."""
+    a, b = F(1000), F(1000) + F(1, 1 << 45)
+    f = parse(f"chi[{a + F(1, 1 << 47)},{b}]")
+    g = np.concatenate(list(midpoint_chunks(a, b, 10)))
+    v = evaluate(f, g)
+    want = math.fsum(v.real * v.real) * float((b - a) / 1024)
+    assert want > 0.0
+    assert norm_sq(f, (a, b), FrequencyGrid(F(0), F(1, 2), 10)) == want
+
+
+# ---------------------------------------------------------------------------
 # structural invariants tying the routes to the frame geometry
 
 
@@ -281,10 +431,10 @@ def test_norm_sq(grid14):
 
 def test_bessel_bound(ex51, ex52, grid14):
     sig = hann_bump(F(9, 64), F(31, 64))
+    nrm = norm_sq(sig.fhat, sig.support, grid14)
     for setup in (ex51, ex52):
-        value, ok = bessel_check(sig, setup, grid14)
-        assert ok
-        assert 0.0 <= value
+        value = lattice_sum_parseval(sig.fhat, setup.psi0_hat, setup.ts, 0, grid14)
+        assert 0.0 <= value <= (1.0 + 1e-9) * nrm
 
 
 def test_level_profile_vanishes_below_band(ex52, grid14):

@@ -213,6 +213,47 @@ def test_overflowing_level_is_named(capsys, argv):
     assert "(34," not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("levels", "--j=3"),
+    ("parseval", "--j=0"),
+    ("parseval", "--j=0", "--route", "direct", "--M", "16", "--grid-log2", "14"),
+    ("telescope", "--j=1", "--grid-log2", "14"),
+])
+def test_non_finite_sum_is_named(capsys, argv):
+    code, out, err = run(
+        capsys, argv[0], "--preset", "ex5.2",
+        "--signal", "1e200*1e200*chi(0,1/4]", *argv[1:],
+    )
+    assert code == 2
+    assert out == ""
+    assert "is nan" in err and "overflows a float" in err
+    assert "level-" in err or "squared norm" in err
+
+
+@pytest.mark.parametrize("filters,check", [
+    (["1e200*1e200*chi[0,1/32]", "1 - chi[0,1/32]"], "refinement residual"),
+    (["chi[0,1/32]", "1e200*1e200*(1 - chi[0,1/32])"], "filter condition residual"),
+])
+def test_non_finite_residual_is_named(capsys, tmp_path, filters, check):
+    p = tmp_path / "setup.json"
+    p.write_text(json.dumps({
+        "N": 2, "r": 3, "psi0_hat": "chi[0,1/8]", "filters": filters,
+    }))
+    code, out, err = run(capsys, "validate", "--setup", str(p), "--grid-log2", "12")
+    assert code == 2
+    assert out == ""
+    assert f"the {check} is nan: a value overflows a float" in err
+
+
+def test_constant_out_of_float_range_is_rejected(capsys):
+    code, _, err = run(
+        capsys, "parseval", "--preset", "ex5.2", "--signal", "1e400*chi(0,1/4]",
+        "--j=0",
+    )
+    assert code == 2
+    assert "constant 1e400 is outside the float range (at offset 0)" in err
+
+
 def test_parseval_table_format(capsys):
     code, out, _ = run(
         capsys, "parseval", "--preset", "ex5.2", "--signal", "ind(1/8,1/2)",

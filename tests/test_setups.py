@@ -63,6 +63,24 @@ def test_validate_sharp_setup_is_exact(ex52):
     }
 
 
+@pytest.mark.parametrize("psi0", [
+    "(9/64 - g)*chi[0,9/64]",
+    "g*chi[0,3/16)",
+    "chi[-1/4,1/8]",
+    "sinc(g)*chi(0,1/8]",
+])
+def test_support_leak_equals_full_grid_oracle(ex52, psi0):
+    """The leak scan visits only the cells ψ̂₀'s proven support can reach;
+    its max is the max over every midpoint, peaks at the first or last
+    cell of the support included."""
+    s = GeneralSetup(ex52.ts, parse(psi0), ex52.filters)
+    want = 0.0
+    for a, b in ((F(1, 8), F(4)), (F(-4), F(0))):
+        for g in midpoint_chunks(a, b, 12):
+            want = max(want, float(np.max(np.abs(evaluate(s.psi0_hat, g)))))
+    assert validate_setup(s, grid_log2=12).support_leak == want
+
+
 def test_validate_report_round_trips_to_dict(ex51):
     d = validate_setup(ex51).to_dict()
     assert d["passed"] is True

@@ -38,6 +38,7 @@ from nuframes.symfunc import (
     product_of,
     render,
     sum_of,
+    zero_outside,
 )
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,8 @@ def test_parse_whitespace_and_grouping():
         ("", 0),
         ("sqrt 4", 5),
         ("chi(0 1)", 6),
+        ("2*1e400*g", 2),
+        ("chi(0,1e309]", 6),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
@@ -396,6 +399,49 @@ def test_dilate_property(e, s):
     want = evaluate(e, float(s) * _points)
     mag = np.max(np.abs(want)) + 1.0
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * mag)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    e=_exprs(),
+    lo=st.fractions(min_value=-3, max_value=3, max_denominator=16),
+    width=st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16),
+    log2_n=st.integers(min_value=3, max_value=10),
+)
+def test_zero_outside_is_exact(e, lo, width, log2_n):
+    """Outside the proved interval every midpoint of a dyadic grid on the
+    domain evaluates to exactly zero, and with a proof every value is finite."""
+    iv = zero_outside(e, lo, lo + width)
+    if iv is None:
+        return
+    (g,) = list(midpoint_chunks(lo, lo + width, log2_n))
+    v = evaluate(e, g)
+    assert np.all(np.isfinite(v))
+    outside = np.array([x < iv[0] or x > iv[1] for x in g.tolist()])
+    assert np.all(v[outside] == 0)
+
+
+def test_zero_outside_rules():
+    assert zero_outside(parse("sinc(g)*chi(0,1/8]"), 0, 1) == (0, F(1, 8))
+    assert zero_outside(parse("sin(g)*chi[1/4,1/2] + chi(1,2)"), 0, 4) == (F(1, 4), 2)
+    assert zero_outside(parse("chi(0,1/8]*chi(1/4,1/2]"), 0, 1) == (F(1, 4), F(1, 8))
+    assert zero_outside(parse("cos(g)*chi(1/4,3)"), 0, 1) == (F(1, 4), 1)
+    assert zero_outside(parse("sin(3*chi[1/4,1/2])"), -1, 1) == (F(1, 4), F(1, 2))
+    assert zero_outside(parse("1 - chi(0,1/32]"), 0, F(1, 2)) == (0, F(1, 2))
+    # Breakpoints enter as the floats evaluation compares against.
+    assert zero_outside(parse("chi[1/3,1/2]"), 0, 1) == (F(1 / 3), F(1, 2))
+    for text in (
+        "sqrt(g-1)*chi(0,1/4]",
+        "recip(g)*chi(0,1/4]",
+        "cos(i*g)*chi(0,1/4]",
+        "1e200*1e200*chi(0,1/4]",
+        "abs2(1e160)*chi(0,1/4]",
+    ):
+        assert zero_outside(parse(text), 0, 1) is None, text
+    assert zero_outside(Product((RealConst(math.inf), parse("chi(0,1/4]"))), 0, 1) is None
+    # the magnitude of g grows with the domain
+    assert zero_outside(parse("1e150*1e150*g*chi(0,1/4]"), 0, 1) is not None
+    assert zero_outside(parse("1e150*1e150*g*chi(0,1/4]"), 0, 1e10) is None
 
 
 # ---------------------------------------------------------------------------
