@@ -3,8 +3,9 @@
 Everything integrates by the midpoint rule on dyadic grids.  Midpoints of a
 dyadic grid never coincide with dyadic indicator breakpoints (those land on
 cell boundaries), so piecewise definitions cost no accuracy, and each
-integral is one math.fsum over all its cells (exactly rounded, ascending
-index), so results are bit-reproducible and independent of chunking.
+integral is one exact sum over all its cells, equal to math.fsum (correctly
+rounded), so results are bit-reproducible and independent of chunking.
+Integrands of expressions without ``i`` are evaluated in float64.
 
 Integrals evaluate only the cells that can meet the support symfunc's
 zero_outside proves for their integrand, widened by one cell on each side.
@@ -49,6 +50,7 @@ from .symfunc import (
     evaluate,
     midpoint_chunks,
     render,
+    squared_modulus,
     zero_outside,
 )
 
@@ -88,17 +90,14 @@ class FrequencyGrid:
         return float((self.b - self.a) / self.n)
 
     def points(self) -> np.ndarray:
-        """All midpoints as one array (only up to log2_n = 22; beyond that
-        use chunks(); a 2^26 grid materialized is half a gigabyte)."""
+        """All midpoints as one array, only up to log2_n = 22 (a 2^26 grid
+        materialized is half a gigabyte)."""
         if self.log2_n > _POINTS_MAX_LOG2:
             raise ValueError(
                 f"grid with log2_n={self.log2_n} is too large to materialize; "
-                "iterate over chunks()"
+                f"the limit is log2_n={_POINTS_MAX_LOG2}"
             )
         return next(iter(midpoint_chunks(self.a, self.b, self.log2_n, chunk=self.n)))
-
-    def chunks(self, chunk: int = 1 << 20):
-        return midpoint_chunks(self.a, self.b, self.log2_n, chunk=chunk)
 
     def to_meta(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "log2_n": self.log2_n}
@@ -121,18 +120,67 @@ def _require_working_window(grid: FrequencyGrid):
         )
 
 
+# np.frexp writes a finite nonzero x as u·2^e with 0.5 ≤ |u| < 1 and
+# −1073 ≤ e ≤ 1024.  Split u·2^27 = hi + frac, hi an integer with |hi| ≤ 2^27
+# and frac in [0, 1) a multiple of 2^−26; then x = (hi + frac)·2^(k−1100)
+# for bin k = e + 1073, and every value is an integer in units of 2^−1126.
+_EXP_OFFSET = 1073
+_UNIT_LOG2 = 1126
+# Values per bincount: bin sums stay integers below 2^53 (2^26 · 2^27).
+_BINCOUNT_MAX = 1 << 26
+
+
+@np.errstate(all="ignore")
+def _exact_sum(arrays) -> float:
+    """math.fsum of the concatenated float64 arrays that arrays() yields:
+    the correctly rounded sum, bit for bit, or fsum's exception.
+
+    The hi and frac parts of the values are bincounted per exponent, which
+    is exact, and the bins of every array add into one Python int, rounded
+    once by int true division.  fsum can overflow on the way, or meet inf
+    or nan, only where the magnitudes may add up to 2^1023; on the first
+    such array math.fsum itself sums a fresh arrays() from the start.
+    """
+    total = 0  # the exact sum, in units of 2^−1126
+    bound = 0  # Σ|x| so far is below bound, in the same units
+    for x in arrays():
+        for s in range(0, len(x), _BINCOUNT_MAX):
+            u, e = np.frexp(x[s : s + _BINCOUNT_MAX])
+            # frexp's exponent of inf or nan is unspecified, so test first
+            finite = math.isfinite(u.sum())
+            if finite:
+                bound += len(u) << (int(e.max(initial=0)) + _UNIT_LOG2)
+            if not finite or bound >= 1 << (1023 + _UNIT_LOG2):
+                return math.fsum(itertools.chain.from_iterable(arrays()))
+            u *= 2.0**27
+            hi = np.floor(u)
+            u -= hi
+            e += _EXP_OFFSET
+            hi_bins = np.bincount(e, weights=hi)
+            frac_bins = np.bincount(e, weights=u)
+            for k in np.flatnonzero(hi_bins):
+                total += int(hi_bins[k]) << (int(k) + 26)
+            for k in np.flatnonzero(frac_bins):
+                total += int(frac_bins[k] * 2.0**26) << int(k)
+    return total / (1 << _UNIT_LOG2)
+
+
 def _stream_real_integral(fn, grid: FrequencyGrid, interval) -> float:
     """h·Σ fn(γ) over the grid cells that can meet the closed interval (every
     cell when it is None), fn real-valued and exactly zero elsewhere.
 
-    One fsum takes the values of every chunk, so the result does not depend
-    on the chunking.  Overflow gives inf or nan, without a RuntimeWarning.
+    One exact sum, equal to math.fsum, takes the values of every chunk, so
+    the result does not depend on the chunking.  Overflow gives inf or nan,
+    without a RuntimeWarning.
     """
     k0, k1 = cell_range(grid.a, grid.b, grid.log2_n, interval)
-    chunks = cell_chunks(grid.a, grid.b, grid.log2_n, k0, k1)
+
+    def values():
+        return map(fn, cell_chunks(grid.a, grid.b, grid.log2_n, k0, k1))
+
     with np.errstate(all="ignore"):
         try:
-            total = math.fsum(itertools.chain.from_iterable(map(fn, chunks)))
+            total = _exact_sum(values)
         except OverflowError:
             total = math.inf
     return total * grid.h
@@ -243,8 +291,8 @@ def lattice_sum_direct_detail(
     integrand F, the offset coset's from one of F·e^{2πi(r/N)γ}.  F is
     evaluated on the cells that can meet its proven support and is zero
     elsewhere (see the module docstring).  Each
-    coset's |c_λ|² values are fsum-ed in ascending-λ order; the two coset
-    totals are added once at the end, so the coset split is exact by
+    coset's |c_λ|² values take one exact sum, equal to math.fsum; the two
+    coset totals are added once at the end, so the coset split is exact by
     construction.  Guards against M·h > 0.01 (phase under-resolution).
     """
     grid = _resolve_grid(grid)
@@ -273,13 +321,13 @@ def lattice_sum_direct_detail(
         F_off[k0:k1] = F[k0:k1] * np.exp((2j * np.pi * float(ts.offset)) * g)
         sq_even = _coset_sq(F, M, h)
         sq_off = _coset_sq(F_off, M, h)
-    even = math.fsum(sq_even)
-    off = math.fsum(sq_off)
+    even = _exact_sum(lambda: (sq_even,))
+    off = _exact_sum(lambda: (sq_off,))
     if not math.isfinite(even + off):
         raise _not_finite(f"the level-{j} direct sum against {render(g_hat)}", even + off)
     half = M // 2
     sl = slice(M - half, M + half + 1)
-    value_half = math.fsum(sq_even[sl]) + math.fsum(sq_off[sl])
+    value_half = _exact_sum(lambda: (sq_even[sl],)) + _exact_sum(lambda: (sq_off[sl],))
     return DirectLevelSum(
         value=even + off,
         even_part=even,
@@ -315,8 +363,7 @@ def lattice_sum_parseval(
     scale = _level_scales(ts, j)[0]
 
     def integrand(g):
-        u = evaluate(f_hat, scale * g) * evaluate(g_hat, g)
-        return scale * (u.real * u.real + u.imag * u.imag)
+        return scale * squared_modulus(evaluate(f_hat, scale * g) * evaluate(g_hat, g))
 
     value = _stream_real_integral(integrand, grid, _level_support(f_hat, g_iv, scale))
     if not math.isfinite(value):
@@ -353,8 +400,7 @@ def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> floa
     sub = FrequencyGrid(a, b, grid.log2_n)
 
     def integrand(g):
-        v = evaluate(f_hat, g)
-        return v.real * v.real + v.imag * v.imag
+        return squared_modulus(evaluate(f_hat, g))
 
     value = _stream_real_integral(integrand, sub, zero_outside(f_hat, a, b))
     if not math.isfinite(value):

@@ -113,11 +113,22 @@ def _resolve_grid(args) -> FrequencyGrid:
     return FrequencyGrid(Fraction(0), Fraction(1, 2), args.grid_log2)
 
 
+def _signal_endpoint(text: str) -> Fraction:
+    v = Fraction(text)
+    try:
+        float(v)
+    except OverflowError:
+        raise ValueError(
+            f"signal endpoint {text} is outside the float range"
+        ) from None
+    return v
+
+
 def _parse_signal(text: str) -> SignalSpec:
     t = text.strip()
     m = _SIGNAL_FORM.fullmatch(t)
     if m:
-        a, b = Fraction(m.group(2)), Fraction(m.group(3))
+        a, b = _signal_endpoint(m.group(2)), _signal_endpoint(m.group(3))
         return hann_bump(a, b) if m.group(1) == "bump" else indicator_signal(a, b)
     return SignalSpec(
         fhat=parse(t), support=(Fraction(-4), Fraction(4)), label=t

@@ -36,6 +36,7 @@ from .symfunc import (
     evaluate,
     midpoint_chunks,
     product_of,
+    squared_modulus,
     zero_outside,
 )
 
@@ -121,20 +122,17 @@ class ConditionReport:
         }
 
 
-def _abs2_values(e: FreqExpr, g: np.ndarray) -> np.ndarray:
-    v = evaluate(e, g)
-    return v.real * v.real + v.imag * v.imag
-
-
 def _theta_values(theta: FreqExpr, g: np.ndarray) -> np.ndarray:
     """θ(g), checked real and strictly positive."""
     v = evaluate(theta, g)
-    bad = np.abs(v.imag) > 1e-12
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ThetaNotPositive(
-            f"scaling symbol must be real, got {complex(v[i])} at gamma={float(g[i])}"
-        )
+    if np.iscomplexobj(v):
+        bad = np.abs(v.imag) > 1e-12
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ThetaNotPositive(
+                f"scaling symbol must be real, got {complex(v[i])} "
+                f"at gamma={float(g[i])}"
+            )
     t = v.real
     i = int(np.argmin(t))
     if t[i] <= 0.0:
@@ -184,11 +182,11 @@ def _filter_scan(
             tmin = min(tmin, float(np.min(t)), float(np.min(w)))
         if not filters:
             continue
-        u = _abs2_values(filters[0], g)
+        u = squared_modulus(evaluate(filters[0], g))
         if theta is not None:
             w *= u  # in place, so the scan holds no extra grid-sized array
         for h in filters[1:]:
-            a = _abs2_values(h, g)
+            a = squared_modulus(evaluate(h, g))
             u += a
             if theta is not None:
                 w += a

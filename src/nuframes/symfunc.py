@@ -239,19 +239,34 @@ def count_nodes(e: FreqExpr) -> int:
 
 
 def evaluate(e: FreqExpr, gamma):
-    """Evaluate e at real frequency gamma (scalar or ndarray) -> complex.
+    """Evaluate e at real frequency gamma (scalar or ndarray).
 
-    Vectorizes over numpy arrays; scalars come back as python complex.
-    The frequency variable is real; intermediate values are complex128.
-    Overflow gives inf or nan without a RuntimeWarning; callers that reduce
-    the values check them for finiteness and name what overflowed.
+    Vectorizes over numpy arrays.  An array result is float64 unless an
+    ``i`` reaches it (sqrt, abs2 and recip return real values), and then
+    complex128; the real values are the same bits either way.  Scalars come
+    back as python complex.  Overflow gives inf or nan without a
+    RuntimeWarning; callers that reduce the values check them for
+    finiteness and name what overflowed.
     """
     g = np.asarray(gamma, dtype=np.float64)
     with np.errstate(all="ignore"):
         if g.ndim == 0:
             out = _eval(e, g.reshape(1))
             return complex(out[0])
-        return _eval(e, g)
+        out = _eval(e, g)
+        return out.copy() if out is g else out
+
+
+def squared_modulus(v: np.ndarray) -> np.ndarray:
+    """|v|² of an evaluated array, as float64."""
+    if np.iscomplexobj(v):
+        return v.real * v.real + v.imag * v.imag
+    return v * v
+
+
+def _off_real_axis(v: np.ndarray):
+    """Where v's imaginary part exceeds IMAG_TOL (nowhere when v is real)."""
+    return np.abs(v.imag) > IMAG_TOL if np.iscomplexobj(v) else False
 
 
 def _first_bad(g, v, mask):
@@ -259,15 +274,27 @@ def _first_bad(g, v, mask):
     return float(g[i]), complex(v[i])
 
 
+def _fold(op, parts, g: np.ndarray) -> np.ndarray:
+    """op over the values of parts, left to right; in place after the first
+    step, which makes a fresh array, unless a complex value meets a real
+    accumulator."""
+    acc = op(_eval(parts[0], g), _eval(parts[1], g))
+    for p in parts[2:]:
+        v = _eval(p, g)
+        if np.iscomplexobj(v) and not np.iscomplexobj(acc):
+            acc = op(acc, v)
+        else:
+            op(acc, v, out=acc)
+    return acc
+
+
 def _eval(e: FreqExpr, g: np.ndarray) -> np.ndarray:
-    if isinstance(e, RationalConst):
-        return np.full(g.shape, complex(float(e.value)))
-    if isinstance(e, RealConst):
-        return np.full(g.shape, complex(e.value))
+    if isinstance(e, (RationalConst, RealConst)):
+        return np.full(g.shape, float(e.value))
     if isinstance(e, ImaginaryUnit):
         return np.full(g.shape, 1j)
     if isinstance(e, Var):
-        return g.astype(np.complex128)
+        return g
     if isinstance(e, Sin):
         return np.sin(_eval(e.arg, g))
     if isinstance(e, Cos):
@@ -276,47 +303,46 @@ def _eval(e: FreqExpr, g: np.ndarray) -> np.ndarray:
         x = _eval(e.arg, g)
         zero = x == 0
         safe = np.where(zero, 1.0, x)
-        return np.where(zero, 1.0 + 0.0j, np.sin(safe) / safe)
+        # A real x takes sin(x)·(1/x): that is what complex division by a
+        # real divisor computes, so both forms give the same bits.
+        if np.iscomplexobj(safe):
+            ratio = np.sin(safe) / safe
+        else:
+            ratio = np.sin(safe) * (1.0 / safe)
+        return np.where(zero, 1.0, ratio)
     if isinstance(e, Sqrt):
         v = _eval(e.arg, g)
-        bad = (np.abs(v.imag) > IMAG_TOL) | (v.real < -IMAG_TOL)
+        bad = _off_real_axis(v) | (v.real < -IMAG_TOL)
         if bad.any():
             gp, vp = _first_bad(g, v, bad)
             raise NegativeSqrt(f"sqrt of non-nonnegative value {vp} at gamma={gp}")
-        return np.sqrt(np.maximum(v.real, 0.0)).astype(np.complex128)
+        return np.sqrt(np.maximum(v.real, 0.0))
     if isinstance(e, Abs2):
-        v = _eval(e.arg, g)
-        return (v.real * v.real + v.imag * v.imag).astype(np.complex128)
+        return squared_modulus(_eval(e.arg, g))
     if isinstance(e, Conj):
         return np.conj(_eval(e.arg, g))
     if isinstance(e, Indicator):
         lo, hi = float(e.lo), float(e.hi)
         m_lo = (g >= lo) if e.lo_closed else (g > lo)
         m_hi = (g <= hi) if e.hi_closed else (g < hi)
-        return (m_lo & m_hi).astype(np.complex128)
+        return (m_lo & m_hi).astype(np.float64)
     if isinstance(e, Sum):
-        acc = _eval(e.terms[0], g).copy()
-        for t in e.terms[1:]:
-            acc += _eval(t, g)
-        return acc
+        return _fold(np.add, e.terms, g)
     if isinstance(e, Product):
-        acc = _eval(e.factors[0], g).copy()
-        for f in e.factors[1:]:
-            acc *= _eval(f, g)
-        return acc
+        return _fold(np.multiply, e.factors, g)
     if isinstance(e, Negate):
         return -_eval(e.arg, g)
     if isinstance(e, Scale):
         return float(e.coeff) * _eval(e.arg, g)
     if isinstance(e, PositiveReciprocal):
         v = _eval(e.arg, g)
-        bad = (np.abs(v.imag) > IMAG_TOL) | (v.real <= 0.0)
+        bad = _off_real_axis(v) | (v.real <= 0.0)
         if bad.any():
             gp, vp = _first_bad(g, v, bad)
             raise ThetaNotPositive(
                 f"reciprocal of non-positive value {vp} at gamma={gp}"
             )
-        return (1.0 / v.real).astype(np.complex128)
+        return 1.0 / v.real
     raise TypeError(f"not a FreqExpr node: {e!r}")
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nuframes import (
     FrequencyGrid,
@@ -22,9 +23,10 @@ from nuframes import (
     norm_sq,
     parse,
     parseval_report,
+    preset,
     telescoping_residual,
 )
-from nuframes.analysis import _coset_sq
+from nuframes.analysis import _coset_sq, _exact_sum
 from nuframes.errors import (
     NegativeSqrt,
     SupportViolation,
@@ -44,6 +46,77 @@ from nuframes.symfunc import (
 )
 
 TS = TranslationSet(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the exact sum kernel
+
+_MAX = np.finfo(np.float64).max
+
+_ORDINARY = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.integers(-(2**53), 2**53).map(float),
+    st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16, 5e-324, -5e-324, 2.0**-1022]),
+)
+_EXTREME = st.one_of(
+    _ORDINARY,
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, _MAX, -_MAX, 2.0**1000,
+                     -(2.0**1000), math.nextafter(_MAX, 0.0), 2.0**997]),
+)
+
+
+@st.composite
+def _split_summands(draw, elements):
+    """Values with some of their negatives mixed in (cancellation), in
+    random order, cut into up to four chunks."""
+    xs = draw(st.lists(elements, max_size=40))
+    if xs:
+        xs += [-x for x in draw(st.lists(st.sampled_from(xs), max_size=20))]
+    xs = draw(st.permutations(xs))
+    cuts = sorted(draw(st.lists(st.integers(0, len(xs)), max_size=3)))
+    return xs, np.split(np.array(xs, dtype=np.float64), cuts)
+
+
+def _outcome(fn):
+    """A sum's result as its exact bits (any nan as 'nan'), or the type and
+    message of what it raised."""
+    try:
+        v = fn()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(v) else v.hex()
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_split_summands(_ORDINARY))
+def test_exact_sum_equals_fsum(case):
+    xs, chunks = case
+    assert _outcome(lambda: _exact_sum(lambda: chunks)) == _outcome(lambda: math.fsum(xs))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_split_summands(_EXTREME))
+def test_exact_sum_equals_fsum_at_the_float_edges(case):
+    """inf, nan and values near the float maximum give fsum's result or
+    exception, wherever the chunks are cut."""
+    xs, chunks = case
+    assert _outcome(lambda: _exact_sum(lambda: chunks)) == _outcome(lambda: math.fsum(xs))
+
+
+def test_exact_sum_cases():
+    # finite values whose running sum overflows: fsum's exception
+    for chunks in ([np.array([1e308, 1e308, -1e308])],
+                   [np.array([1e308]), np.array([1e308, -1e308])]):
+        with pytest.raises(OverflowError):
+            _exact_sum(lambda: chunks)
+    assert _exact_sum(lambda: []) == 0.0
+    assert _exact_sum(lambda: [np.array([1e16, 1.0, -1e16])]) == 1.0
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(1 << 20) * 2.0 ** rng.integers(-60, 60, 1 << 20)
+    halves = np.split(x, [1 << 19])
+    assert _exact_sum(lambda: halves) == math.fsum(x)
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +144,8 @@ def test_grid_geometry():
 
 def test_grid_points_cap():
     big = FrequencyGrid(F(0), F(1, 2), 23)
-    with pytest.raises(ValueError, match="chunks"):
+    with pytest.raises(ValueError, match="too large to materialize; the limit is log2_n=22"):
         big.points()
-    total = sum(len(c) for c in big.chunks())
-    assert total == 1 << 23
 
 
 def test_default_grid():
@@ -526,3 +597,104 @@ def test_report_serialization_is_deterministic(ex52, grid14):
     csv = r1.to_csv_text().splitlines()
     assert csv[0] == "generator,level,value"
     assert len(csv) == 1 + len(r1.levels)
+
+# ---------------------------------------------------------------------------
+# golden bits
+
+# (preset, signal, route, level sums in (ell, j) order for j = -4..4, total,
+# signal_norm_sq), recorded from the complex128 evaluator and math.fsum.
+# Identity route on a 2^16 grid, direct route on 2^14 with M = 64; the
+# expression signals take the declared support [0, 1/4].
+_GOLDEN = [
+    ('ex5.1', 'bump(9/64,31/64)', 'parseval',
+     [
+      0.0, 0.0, 0.0,
+      0.0, 0.0, 5.026398311260741e-05,
+      3.1473760322855048e-06, 1.967339779287374e-07, 1.229596337472461e-08,
+      0.0, 0.0, 0.0,
+      0.0, 0.0, 0.00020131379716210323,
+      1.2590512429849592e-05, 7.869398506379179e-07, 4.918386888537691e-08,
+      0.0, 0.0, 0.0,
+      0.0, 0.12863788507894594, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.1289062459013436, 0.12890625),
+    ('ex5.2', 'bump(1/4,2)', 'parseval',
+     [
+      0.0, 0.0, 0.0,
+      0.0, 0.0018428257658044099, 0.6544071742534204,
+      0.0, 0.0, 0.0,
+     ], 0.6562500000192248, 0.65625),
+    ('ex5.1', 'sqrt(abs2(sin(3*g)))*chi(0,1/4]', 'parseval',
+     [
+      2.0397095769442725e-13, 1.3054041281933024e-11, 8.35356237091055e-10,
+      5.335803164300033e-08, 3.30917811785118e-06, 5.993938194781958e-06,
+      3.7490348039431684e-07, 2.343251143178908e-08, 1.4644766826901107e-09,
+      8.175937119051713e-13, 5.232559660680188e-11, 3.348427628078587e-09,
+      2.1387934160275854e-07, 1.3264369652961703e-05, 2.398814513904485e-05,
+      1.4996623491694338e-06, 9.373023490125073e-08, 5.857907469656703e-09,
+      2.1932665932227744e-08, 1.4035439807739758e-06, 8.967678176252039e-05,
+      0.005587715812361236, 0.03614777270243822, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.041875416942831686, 0.041875417781181035),
+    ('ex5.2', 'recip(1 + g*g)*chi(0,1/4]', 'parseval',
+     [
+      0.0014648388605735198, 0.005859062093059173, 0.023417490686673516,
+      0.0924862859992006, 0.1164204315759837, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.2396481092154905, 0.24013639038746698),
+    ('ex5.1', '(1+i)*sinc(9*g)*chi(0,1/4]', 'parseval',
+     [
+      3.170220449759151e-07, 1.2680147526165967e-06, 5.0673618668890605e-06,
+      1.9971076059544624e-05, 6.293354520766308e-05, 1.4667758186113444e-05,
+      9.171774030873524e-07, 5.732534746639581e-08, 3.5828718415545064e-09,
+      1.2703197084945064e-06, 5.080984509293177e-06, 2.030511008863247e-05,
+      8.00244552705026e-05, 0.00025215432763597617, 5.869045021152394e-05,
+      3.6687854861828427e-06, 2.293016862538497e-07, 1.4331488523996067e-08,
+      0.0029228886482455993, 0.011683662142951615, 0.046232748822202206,
+      0.15589962724971637, 0.0895539374903493, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.30681950528329066, 0.3077943735971351),
+    ('ex5.1', 'bump(9/64,31/64)', 'direct',
+     [
+      0.0, 0.0, 0.0,
+      0.0, 0.0, 5.026397783225785e-05,
+      3.147021488801275e-06, 1.4735623560875077e-07, 2.7386990806955436e-09,
+      0.0, 0.0, 0.0,
+      0.0, 0.0, 0.00020131377598699976,
+      1.2589094025037645e-05, 5.894278877018596e-07, 1.0954799746323694e-08,
+      0.0, 0.0, 0.0,
+      0.0, 0.12863788506880208, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.1289059494157573, 0.12890625),
+    ('ex5.1', '(1+i)*sinc(9*g)*chi(0,1/4]', 'direct',
+     [
+      3.140396339212694e-07, 1.2560862601549849e-06, 5.0197215611102356e-06,
+      1.9785180076007113e-05, 6.24424144945455e-05, 1.4576064959353898e-05,
+      8.93982350681865e-07, 4.1413647850610675e-08, 7.677208952813432e-10,
+      1.2583550380358958e-06, 5.0331304480123375e-06, 2.0113989364857627e-05,
+      7.927868812025875e-05, 0.00025018403666140165, 5.8323408478214785e-05,
+      3.5760010229416193e-06, 1.6565478889994186e-07, 3.0708838092852513e-09,
+      0.002916768180950603, 0.011659200311776793, 0.04613617127295361,
+      0.15558272827205444, 0.08895282876502034, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.30576996280826674, 0.3077943736461479),
+]
+
+
+def _golden_signal(label):
+    if label.startswith("bump("):
+        a, b = label[5:-1].split(",")
+        return hann_bump(F(a), F(b))
+    return SignalSpec(parse(label), (F(0), F(1, 4)), label)
+
+
+@pytest.mark.parametrize("name, label, route, levels, total, nrm", _GOLDEN)
+def test_reports_keep_golden_bits(name, label, route, levels, total, nrm):
+    """Float64 evaluation and the exact sum give the recorded bits: sin,
+    cos and sinc generators, indicators, a bump, sqrt, abs2, recip and a
+    complex signal, on both routes."""
+    grid = FrequencyGrid(F(0), F(1, 2), 16 if route == "parseval" else 14)
+    r = parseval_report(_golden_signal(label), preset(name), -4, 4,
+                        route=route, M=64, grid=grid)
+    assert [v for (_, _, v) in r.levels] == levels
+    assert (r.total, r.signal_norm_sq) == (total, nrm)

@@ -254,6 +254,17 @@ def test_constant_out_of_float_range_is_rejected(capsys):
     assert "constant 1e400 is outside the float range (at offset 0)" in err
 
 
+@pytest.mark.parametrize("signal, endpoint", [
+    ("bump(1,1e400)", "1e400"),
+    ("ind(-1e400,0)", "-1e400"),
+])
+def test_signal_endpoint_out_of_float_range_is_rejected(capsys, signal, endpoint):
+    code, _, err = run(capsys, "levels", "--preset", "ex5.2", "--signal", signal, "--j=0")
+    assert code == 2
+    assert f"signal endpoint {endpoint} is outside the float range" in err
+    assert "integer division" not in err
+
+
 def test_parseval_table_format(capsys):
     code, out, _ = run(
         capsys, "parseval", "--preset", "ex5.2", "--signal", "ind(1/8,1/2)",

@@ -166,6 +166,17 @@ def test_eval_atoms():
     assert evaluate(Var(), 0.3) == 0.3
 
 
+def test_eval_dtype_follows_i():
+    """Arrays are float64 unless an i reaches the result; a bare g is a
+    copy of the points, not the caller's array."""
+    pts = np.array([0.1, 0.3])
+    for text in ("g", "sin(g)*chi(0,1/4] - 2", "sqrt(abs2(i*g))", "recip(1 + g)"):
+        v = evaluate(parse(text), pts)
+        assert v.dtype == np.float64 and v is not pts, text
+    for text in ("i", "g + i*g", "conj(sinc(i*g))"):
+        assert evaluate(parse(text), pts).dtype == np.complex128, text
+
+
 def test_eval_sinc():
     assert evaluate(Sinc(Var()), 0.0) == 1.0
     x = 0.7
