@@ -8,10 +8,15 @@ rounded), so results are bit-reproducible and independent of chunking.
 Integrands of expressions without ``i`` are evaluated in float64.
 
 Integrals evaluate only the cells that can meet the support symfunc's
-zero_outside proves for their integrand, widened by one cell on each side.
-Every skipped cell holds an exact zero, and an exactly rounded sum or a max
-does not change when zeros are dropped, so the results are the same bits as
-a scan of every cell.  Where nothing is proved, every cell is evaluated.
+zero_outside proves for their integrand, widened by one cell on each side,
+and stream them in blocks of symfunc.BLOCK_CELLS (2^14) cells, so the
+temporaries of an evaluation stay in cache.  Every skipped cell holds an
+exact zero, and an exactly rounded sum or a max does not change when zeros
+are dropped or the cells are cut differently, so the results are the same
+bits as one array over every cell.  Where nothing is proved, every cell is
+evaluated.  The validate scans in setups skip proven zeros the same way.
+Only the direct route, whose FFT needs every sample at once, evaluates the
+grid as one array.
 
 The Parseval frame property is verified by two deliberately independent
 routes:
@@ -52,6 +57,7 @@ from .symfunc import (
     render,
     squared_modulus,
     zero_outside,
+    zero_outside_scaled,
 )
 
 _POINTS_MAX_LOG2 = 22
@@ -231,19 +237,13 @@ def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
 
 def _level_support(f_hat: FreqExpr, g_iv, scale: float):
     """Interval in γ outside which f̂(scale·γ)·ĝ(γ) is exactly zero on
-    [0, 1/2], given ĝ's interval g_iv, or None.
-
-    f̂'s interval maps back through the float scale that evaluation
-    multiplies by.  Below 2^−1000 the products scale·γ are subnormal and
-    may stray by more than a cell, so nothing is proved there.
-    """
-    if g_iv is None or not scale >= 2.0**-1000:
+    [0, 1/2], given ĝ's interval g_iv, or None (see zero_outside_scaled)."""
+    if g_iv is None:
         return None
-    s = Fraction(scale)
-    f_iv = zero_outside(f_hat, 0, s / 2)
+    f_iv = zero_outside_scaled(f_hat, scale, 0, Fraction(1, 2))
     if f_iv is None:
         return None
-    return max(g_iv[0], f_iv[0] / s), min(g_iv[1], f_iv[1] / s)
+    return max(g_iv[0], f_iv[0]), min(g_iv[1], f_iv[1])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .analysis import (
     ROUTE_DIRECT,
     ROUTE_PARSEVAL,
@@ -306,6 +308,13 @@ def _cmd_generators(args) -> int:
     for ell in range(1, setup.n + 1):
         e = derive_generator(setup, ell)
         v = evaluate(e, g)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"generator {ell} is {v[i].item()!r} at gamma={float(g[i])}: "
+                "a value overflows a float"
+            )
         gens.append(
             {
                 "index": ell,

@@ -28,6 +28,7 @@ from .symfunc import (
     FreqExpr,
     ImaginaryUnit,
     PositiveReciprocal,
+    Product,
     RationalConst,
     Sqrt,
     cell_chunks,
@@ -38,6 +39,7 @@ from .symfunc import (
     product_of,
     squared_modulus,
     zero_outside,
+    zero_outside_scaled,
 )
 
 # Residual tolerance for hypothesis checks; the 0⁺ normalization probe gets
@@ -122,25 +124,32 @@ class ConditionReport:
         }
 
 
-def _theta_values(theta: FreqExpr, g: np.ndarray) -> np.ndarray:
-    """θ(g), checked real and strictly positive."""
-    v = evaluate(theta, g)
-    if np.iscomplexobj(v):
-        bad = np.abs(v.imag) > 1e-12
-        if bad.any():
-            i = int(np.argmax(bad))
+def _theta_values(theta: FreqExpr, g: np.ndarray, d: float) -> list[np.ndarray]:
+    """[θ(γ), θ(dγ)] on one block, checked real and strictly positive.
+
+    A failure names the first cell in ascending γ, and there θ(γ) before
+    θ(dγ) and realness before sign, so the message does not depend on how
+    the grid is cut into blocks.
+    """
+    xs = (g, d * g)
+    vs = [evaluate(theta, x) for x in xs]
+    # per cell, in order: θ(γ) not real, θ(γ) ≤ 0, θ(dγ) not real, θ(dγ) ≤ 0
+    faults = [m for v in vs for m in (np.abs(v.imag) > 1e-12, v.real <= 0.0)]
+    bad = np.logical_or.reduce(faults)
+    if bad.any():
+        i = int(np.argmax(bad))
+        k = next(k for k, m in enumerate(faults) if m[i])
+        x, v = xs[k // 2], vs[k // 2]
+        if k % 2 == 0:
             raise ThetaNotPositive(
                 f"scaling symbol must be real, got {complex(v[i])} "
-                f"at gamma={float(g[i])}"
+                f"at gamma={float(x[i])}"
             )
-    t = v.real
-    i = int(np.argmin(t))
-    if t[i] <= 0.0:
         raise ThetaNotPositive(
-            f"scaling symbol is {float(t[i])} at gamma={float(g[i])}; "
+            f"scaling symbol is {float(v[i].real)} at gamma={float(x[i])}; "
             "it must be strictly positive"
         )
-    return t
+    return [v.real for v in vs]
 
 
 def _sup(acc: float, v: np.ndarray, what: str) -> float:
@@ -150,6 +159,17 @@ def _sup(acc: float, v: np.ndarray, what: str) -> float:
     if not math.isfinite(m):
         raise ValueError(f"the {what} is {m!r}: a value overflows a float")
     return max(acc, m)
+
+
+def _hull(*ivs):
+    """Smallest interval holding every nonempty interval of ivs (an empty
+    one if there is none), or None when any of them is None."""
+    if any(iv is None for iv in ivs):
+        return None
+    ivs = [iv for iv in ivs if iv[0] <= iv[1]]
+    if not ivs:
+        return Fraction(1), Fraction(0)
+    return min(a for a, _ in ivs), max(b for _, b in ivs)
 
 
 def _limit_deviation(e: FreqExpr) -> float:
@@ -166,33 +186,42 @@ def _filter_scan(
     theta: FreqExpr | None,
     grid_log2: int,
 ) -> tuple[float, float | None, float | None]:
-    """One pass over the midpoints of [0, 1/2]: each filter evaluated once,
-    θ once at γ and once at 2Nγ.  Returns (uep, oep, theta_min), the sups of
-    |Σₗ |Hₗ|² − 1| and |θ(2Nγ)|H₀|² + Σ_{ℓ≥1}|Hₗ|² − θ(γ)| and min θ; the last
-    two are None without θ, and without filters only θ is checked.  Both
-    sums run in ascending ℓ, so with θ ≡ 1 they agree bit for bit.
+    """One pass over the midpoints of [0, 1/2], block by block.  Returns
+    (uep, oep, theta_min), the sups of |Σₗ |Hₗ|² − 1| and
+    |θ(2Nγ)|H₀|² + Σ_{ℓ≥1}|Hₗ|² − θ(γ)| and min θ; the last two are None
+    without θ, and without filters only θ is checked.  Both sums run in
+    ascending ℓ, so with θ ≡ 1 they agree bit for bit.
+
+    Each filter is evaluated only on the cells that can meet the support
+    zero_outside proves for it on [0, 1/2]; its |Hₗ|² is exactly +0
+    elsewhere, and adding +0 to a sum of squares changes no bit.  θ is
+    evaluated, checked and multiplied in on every cell, at γ and at 2Nγ.
     """
     d = float(ts.dilation)
+    half = Fraction(1, 2)
+    ranges = [cell_range(0, half, grid_log2, zero_outside(h, 0, half)) for h in filters]
     uep = oep = 0.0
     tmin = math.inf
-    for g in midpoint_chunks(0, Fraction(1, 2), grid_log2):
+    s = 0  # first cell of the block
+    for g in midpoint_chunks(0, half, grid_log2):
         if theta is not None:
-            t = _theta_values(theta, g)
-            w = _theta_values(theta, d * g)
+            t, w = _theta_values(theta, g, d)
             tmin = min(tmin, float(np.min(t)), float(np.min(w)))
-        if not filters:
-            continue
-        u = squared_modulus(evaluate(filters[0], g))
-        if theta is not None:
-            w *= u  # in place, so the scan holds no extra grid-sized array
-        for h in filters[1:]:
-            a = squared_modulus(evaluate(h, g))
-            u += a
+        if filters:
+            u = np.zeros(len(g))
+            for ell, (h, (k0, k1)) in enumerate(zip(filters, ranges)):
+                i0, i1 = max(k0 - s, 0), min(k1 - s, len(g))
+                if i0 < i1:
+                    a = squared_modulus(evaluate(h, g[i0:i1]))
+                    u[i0:i1] += a
+                    if theta is not None and ell > 0:
+                        w[i0:i1] += a
+                if theta is not None and ell == 0:
+                    w *= u  # in place, so the scan holds no extra block
+            uep = _sup(uep, u - 1.0, "filter condition residual")
             if theta is not None:
-                w += a
-        uep = _sup(uep, u - 1.0, "filter condition residual")
-        if theta is not None:
-            oep = _sup(oep, w - t, "weighted filter condition residual")
+                oep = _sup(oep, w - t, "weighted filter condition residual")
+        s += len(g)
     return (uep, None, None) if theta is None else (uep, oep, tmin)
 
 
@@ -224,15 +253,25 @@ def validate_setup(
 
     The filter condition passes when either the plain residual or (with a
     scaling symbol present) the θ-weighted residual is within tol.
+
+    Every scan streams its grid in blocks and evaluates an expression only
+    on the cells that can meet the support zero_outside proves for it; the
+    other cells hold exact zeros, which change no sup, so each residual is
+    the same bits as a scan of every cell in one array.
     """
     if grid_log2 < 10:
         raise ValueError(f"grid_log2 must be at least 10, got {grid_log2}")
     N = s.ts.N
     quarter = Fraction(1, 4 * N)
 
+    # Only cells where ψ̂₀(2Nγ) or H₀(γ)ψ̂₀(γ) may be nonzero are scanned;
+    # on the others both sides are exact zeros.
     refinement = 0.0
     d = float(s.ts.dilation)
-    for g in midpoint_chunks(0, quarter, grid_log2):
+    lhs_iv = zero_outside_scaled(s.psi0_hat, d, 0, quarter)
+    rhs_iv = zero_outside(Product((s.filters[0], s.psi0_hat)), 0, quarter)
+    k0, k1 = cell_range(0, quarter, grid_log2, _hull(lhs_iv, rhs_iv))
+    for g in cell_chunks(0, quarter, grid_log2, k0, k1):
         lhs = evaluate(s.psi0_hat, d * g)
         rhs = evaluate(s.filters[0], g) * evaluate(s.psi0_hat, g)
         refinement = _sup(refinement, lhs - rhs, "refinement residual")

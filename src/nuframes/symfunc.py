@@ -426,6 +426,24 @@ def _support_node(e: FreqExpr, lo: Fraction, hi: Fraction):
     raise _Unproven
 
 
+def zero_outside_scaled(e: FreqExpr, scale: float, lo, hi):
+    """Interval in γ outside which evaluate(e, scale·γ) is exactly ±0 at
+    the midpoints of a grid on [lo, hi], 0 ≤ lo, to hand to cell_range; or
+    None when nothing can be proved.
+
+    e's zero_outside interval on [scale·lo, scale·hi] maps back through the
+    float scale that evaluation multiplies by; cell_range's one-cell
+    widening covers the rounding of the products scale·γ.  Below 2^−1000
+    those products are subnormal and may stray by more than a cell, so
+    nothing is proved there.
+    """
+    if not scale >= 2.0**-1000:
+        return None
+    s = Fraction(scale)
+    iv = zero_outside(e, s * Fraction(lo), s * Fraction(hi))
+    return None if iv is None else (iv[0] / s, iv[1] / s)
+
+
 # ---------------------------------------------------------------------------
 # argument dilation
 
@@ -469,9 +487,16 @@ def _dilate(e: FreqExpr, s: Fraction) -> FreqExpr:
 # ---------------------------------------------------------------------------
 # grid scan
 
+# Cells per block of a grid scan: 2^14 float64 values are 128 KiB, so the
+# temporaries of one expression's evaluation stay in a per-core L2 cache.
+# No result depends on it: values are computed cell by cell, and every
+# reduction is an exact sum or a max.
+BLOCK_CELLS = 1 << 14
 
-def midpoint_chunks(a, b, log2_n: int, chunk: int = 1 << 20):
-    """Yield the midpoints of the regular 2^log2_n grid on [a, b] in blocks.
+
+def midpoint_chunks(a, b, log2_n: int, chunk: int | None = None):
+    """Yield the midpoints of the regular 2^log2_n grid on [a, b] in blocks
+    of chunk cells, BLOCK_CELLS by default.
 
     Midpoints are a + (k + 1/2)·h with h = (b − a)/2^log2_n, ascending.
     For dyadic a, b the values are exact float64.
@@ -479,10 +504,12 @@ def midpoint_chunks(a, b, log2_n: int, chunk: int = 1 << 20):
     return cell_chunks(a, b, log2_n, 0, 1 << log2_n, chunk)
 
 
-def cell_chunks(a, b, log2_n: int, k0: int, k1: int, chunk: int = 1 << 20):
+def cell_chunks(a, b, log2_n: int, k0: int, k1: int, chunk: int | None = None):
     """Yield the midpoints of cells k0 ≤ k < k1 of the grid of
-    midpoint_chunks(a, b, log2_n) in blocks, each the same float that
-    midpoint_chunks yields for that cell."""
+    midpoint_chunks(a, b, log2_n) in blocks of chunk cells (BLOCK_CELLS by
+    default), each the same float that midpoint_chunks yields for that
+    cell."""
+    chunk = BLOCK_CELLS if chunk is None else chunk
     h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
     a_f = float(a)
     for s in range(k0, k1, chunk):

@@ -25,7 +25,9 @@ from nuframes import (
     parseval_report,
     preset,
     telescoping_residual,
+    validate_setup,
 )
+from nuframes import symfunc
 from nuframes.analysis import _coset_sq, _exact_sum
 from nuframes.errors import (
     NegativeSqrt,
@@ -376,8 +378,9 @@ def test_level_sum_with_subnormal_scale_keeps_every_cell(ex52, grid14):
 
 
 def test_integrals_on_two_chunks_take_one_fsum(ex52):
-    """At 2^21 cells the grid streams in two chunks; the integral is the
-    exactly rounded sum over both, whichever cells the support pass keeps."""
+    """At 2^21 cells the grid streams in 128 blocks; the integral is the
+    exactly rounded sum over all of them, whichever cells the support pass
+    keeps."""
     grid = FrequencyGrid(F(0), F(1, 2), 21)
     sig = hann_bump(F(3, 16), F(5, 16))
     g = np.concatenate(list(midpoint_chunks(F(3, 16), F(5, 16), 21)))
@@ -597,6 +600,25 @@ def test_report_serialization_is_deterministic(ex52, grid14):
     csv = r1.to_csv_text().splitlines()
     assert csv[0] == "generator,level,value"
     assert len(csv) == 1 + len(r1.levels)
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 20])
+def test_block_size_changes_no_report(monkeypatch, ex51, ex52, block):
+    """Grids stream in blocks of symfunc.BLOCK_CELLS; validate and parseval
+    reports are equal whether a 2^16 grid is cut into 64 blocks, 4 or 1."""
+    grid = FrequencyGrid(F(0), F(1, 2), 16)
+
+    def reports():
+        return [
+            (validate_setup(s, 16).to_dict(),
+             parseval_report(sig, s, -4, 4, grid=grid).to_dict())
+            for s in (ex51, ex52)
+            for sig in (hann_bump(F(9, 64), F(31, 64)), indicator_signal(F(1, 8), F(1, 2)))
+        ]
+
+    want = reports()
+    monkeypatch.setattr(symfunc, "BLOCK_CELLS", block)
+    assert reports() == want
+
 
 # ---------------------------------------------------------------------------
 # golden bits

@@ -404,6 +404,23 @@ def test_generators_sample_bounds(capsys):
     assert "sample-log2" in err
 
 
+@pytest.mark.parametrize("fmt", ["report", "table"])
+def test_generators_non_finite_sample_is_named(capsys, tmp_path, fmt):
+    """An overflowing sample stops the command instead of writing the
+    non-JSON tokens Infinity or NaN."""
+    p = tmp_path / "setup.json"
+    p.write_text(json.dumps({
+        "N": 2, "r": 3, "psi0_hat": "1e200*1e200*chi[0,1/8]",
+        "filters": ["chi[0,1/32]", "1 - chi[0,1/32]"],
+    }))
+    code, out, err = run(capsys, "generators", "--setup", str(p),
+                         "--sample-log2", "3", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: generator 1 is inf at gamma=0.15625: "
+                   "a value overflows a float\n")
+
+
 # ---------------------------------------------------------------------------
 # output files and determinism
 

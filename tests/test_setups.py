@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,7 +19,8 @@ from nuframes import (
     validate_setup,
 )
 from nuframes.errors import ThetaMissing, ThetaNotPositive
-from nuframes.symfunc import midpoint_chunks
+from nuframes.setups import DEFAULT_LIMIT_TOL, DEFAULT_TOL
+from nuframes.symfunc import midpoint_chunks, squared_modulus
 
 
 def test_setup_needs_two_filters():
@@ -79,6 +81,132 @@ def test_support_leak_equals_full_grid_oracle(ex52, psi0):
         for g in midpoint_chunks(a, b, 12):
             want = max(want, float(np.max(np.abs(evaluate(s.psi0_hat, g)))))
     assert validate_setup(s, grid_log2=12).support_leak == want
+
+
+def _whole(a, b, log2):
+    """Every midpoint of the grid as one array."""
+    (g,) = midpoint_chunks(a, b, log2, chunk=1 << log2)
+    return g
+
+
+def _sup_abs(v):
+    return float(np.max(np.abs(v)))
+
+
+@np.errstate(all="ignore")
+def _full_grid_report(s, log2):
+    """validate_setup(s, log2).to_dict() computed on every cell at once, in
+    the scans' order of operations."""
+    d = float(s.ts.dilation)
+    quarter = F(1, 4 * s.ts.N)
+    g = _whole(0, quarter, log2)
+    refinement = _sup_abs(evaluate(s.psi0_hat, d * g)
+                          - evaluate(s.filters[0], g) * evaluate(s.psi0_hat, g))
+    leak = max(_sup_abs(evaluate(s.psi0_hat, _whole(a, b, log2)))
+               for a, b in ((quarter, F(4)), (F(-4), F(0))))
+    probes = np.array([2.0**-k for k in range(12, 41)])
+
+    def limit(e):
+        return _sup_abs(evaluate(e, probes) - 1.0)
+
+    g = _whole(0, F(1, 2), log2)
+    sq = [squared_modulus(evaluate(h, g)) for h in s.filters]
+    u = sq[0].copy()
+    for a in sq[1:]:
+        u += a
+    rep = {
+        "grid_log2": log2, "tol": DEFAULT_TOL, "limit_tol": DEFAULT_LIMIT_TOL,
+        "refinement_residual": refinement, "support_leak": leak,
+        "limit_deviation": limit(s.psi0_hat), "uep_residual": _sup_abs(u - 1.0),
+        "oep_residual": None, "theta_min": None, "theta_limit_deviation": None,
+    }
+    checks = {
+        "refinement": refinement <= DEFAULT_TOL,
+        "support": leak <= DEFAULT_TOL,
+        "limit": rep["limit_deviation"] <= DEFAULT_LIMIT_TOL,
+        "uep": rep["uep_residual"] <= DEFAULT_TOL,
+    }
+    if s.theta is not None:
+        t = evaluate(s.theta, g).real
+        t_dilated = evaluate(s.theta, d * g).real
+        w = t_dilated * sq[0]
+        for a in sq[1:]:
+            w += a
+        rep["oep_residual"] = _sup_abs(w - t)
+        rep["theta_min"] = min(float(np.min(t)), float(np.min(t_dilated)))
+        rep["theta_limit_deviation"] = limit(s.theta)
+        checks["oep"] = rep["oep_residual"] <= DEFAULT_TOL
+        checks["theta_limit"] = rep["theta_limit_deviation"] <= DEFAULT_LIMIT_TOL
+    checks["filter_condition"] = checks["uep"] or checks.get("oep", False)
+    rep["checks"] = checks
+    rep["passed"] = all(v for k, v in checks.items() if k not in ("uep", "oep"))
+    return rep
+
+
+_ORACLE_SETUPS = {
+    # H0's edge 1/8 is the boundary after cell 2^14 of a 2^16 grid; H1's
+    # edge 3/16 falls mid-block.  H0ψ̂₀ reaches past ψ̂₀(4γ), and the
+    # refinement residual peaks far from either edge.
+    "block-edges": {
+        "N": 2, "r": 3, "psi0_hat": "(1 + g)*chi[0,1/8]",
+        "filters": ["chi[0,1/8]", "cos(g)*chi(1/8,3/16) + chi[3/16,1/2]"],
+    },
+    # ψ̂₀(4γ) reaches past H0ψ̂₀.
+    "wide-lhs": {
+        "N": 2, "r": 3, "psi0_hat": "(1 + g)*chi[0,1/8]",
+        "filters": ["chi[0,1/64]", "1 - chi[0,1/64]"],
+    },
+    "n3-sinc": {
+        "N": 3, "r": 1, "psi0_hat": "sinc(g)*chi(0,1/12]",
+        "filters": ["cos(3*g)*chi(0,1/72]", "sin(3*g)*chi(0,1/72]", "1 - chi(0,1/72]"],
+    },
+    "n3-sharp": {
+        "N": 3, "r": 5, "psi0_hat": "chi[0,1/12]",
+        "filters": ["chi[0,1/72]", "1 - chi[0,1/72]"], "theta": "1",
+    },
+    "theta": {
+        "N": 2, "r": 3, "psi0_hat": "chi[0,1/8]",
+        "filters": ["chi[0,1/32]", "chi(1/32,5/32)", "chi[5/32,1/2]"],
+        "theta": "1 + g*g",
+    },
+    "sqrt-filter": {
+        "N": 2, "r": 3, "psi0_hat": "chi[0,1/8]",
+        "filters": ["sqrt(1 - g)*chi[0,1/32]", "1 - chi[0,1/32]"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["ex5.1", "ex5.2", "completion", *_ORACLE_SETUPS])
+def test_restricted_scans_equal_full_grid_oracle(ex51, ex52, name):
+    """The validate scans evaluate each filter, and both sides of the
+    refinement equation, only where they can be nonzero, block by block;
+    every report field is what one array over every cell gives, at filter
+    edges on and between the block boundaries of a 2^16 grid."""
+    if name == "completion":
+        s = two_generator_setup(ex52.psi0_hat, ex52.filters[0],
+                                parse("recip(1 + g*g)"), TranslationSet(2, 3))
+    elif name in _ORACLE_SETUPS:
+        s = setup_from_dict(_ORACLE_SETUPS[name])
+    else:
+        s = {"ex5.1": ex51, "ex5.2": ex52}[name]
+    assert validate_setup(s, grid_log2=16).to_dict() == _full_grid_report(s, 16)
+
+
+def test_theta_fault_names_the_first_point():
+    """On a grid of four blocks the message names the first γ where θ ≤ 0,
+    not where θ is least."""
+    s = setup_from_dict({
+        "N": 1, "r": 1, "psi0_hat": "chi[0,1/4]",
+        "filters": ["chi[0,1/16]", "1 - chi[0,1/16]"],
+        "theta": "abs2(g - 3/8) - 1/64",
+    })
+    # θ(x) ≤ 0 for 1/4 ≤ x ≤ 1/2 and is least at x = 3/8.  θ(2γ) meets it
+    # first, at the cell after γ = 1/8, in the second block.
+    h = 2.0**-17
+    first = 2 * (1 / 8 + h / 2)
+    want = f"scaling symbol is {(first - 3 / 8) * (first - 3 / 8) - 1 / 64} at gamma={first};"
+    with pytest.raises(ThetaNotPositive, match=f"^{re.escape(want)}"):
+        oep_check(s, grid_log2=16)
 
 
 def test_validate_report_round_trips_to_dict(ex51):
