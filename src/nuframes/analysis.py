@@ -47,7 +47,7 @@ import numpy as np
 from .errors import SupportViolation, TruncationGuard, UepPreconditionFailed
 from .lattice import TranslationSet
 from .setups import GeneralSetup, derive_generator, uep_residual
-from .signals import SignalSpec
+from .signals import SignalSpec, probe_support
 from .symfunc import (
     FreqExpr,
     cell_chunks,
@@ -61,9 +61,7 @@ from .symfunc import (
 )
 
 _POINTS_MAX_LOG2 = 22
-_SUPPORT_PROBES = 64
-_SUPPORT_TOL = 1e-12
-_SUPPORT_REACH = 4.0
+_SUPPORT_REACH = Fraction(4)
 
 ROUTE_PARSEVAL = "parseval"
 ROUTE_DIRECT = "direct"
@@ -204,21 +202,12 @@ def _half_line_support(g_hat: FreqExpr):
     When that interval does not lie in [0, 1/2], probe that ĝ has no
     detectable mass outside [0, 1/2] (SupportViolation otherwise).
     """
-    iv = zero_outside(g_hat, -_SUPPORT_REACH, _SUPPORT_REACH)
-    if iv is not None and (iv[0] > iv[1] or (0 <= iv[0] and iv[1] <= Fraction(1, 2))):
-        return iv
-    ks = np.arange(_SUPPORT_PROBES) + 0.5
-    above = 0.5 + ks * ((_SUPPORT_REACH - 0.5) / _SUPPORT_PROBES)
-    below = 0.0 - ks * (_SUPPORT_REACH / _SUPPORT_PROBES)
-    for probes in (above, below):
-        v = evaluate(g_hat, probes)
-        worst = float(np.max(np.abs(v)))
-        if worst > _SUPPORT_TOL:
-            i = int(np.argmax(np.abs(v)))
-            raise SupportViolation(
-                f"analyzing function has magnitude {worst:.3e} at "
-                f"gamma={float(probes[i])}, outside [0, 1/2]"
-            )
+    iv, fault = probe_support(g_hat, (0, Fraction(1, 2)), (-_SUPPORT_REACH, _SUPPORT_REACH))
+    if fault:
+        raise SupportViolation(
+            f"analyzing function has magnitude {fault[0]:.3e} at "
+            f"gamma={fault[1]}, outside [0, 1/2]"
+        )
     return iv
 
 

@@ -9,8 +9,17 @@ Subcommands:
   levels      scaling-level energy profile of a signal
   generators  derived generator expressions with coarse samples
 
-Exit status: 0 when checks pass, 1 when a mathematical check fails, 2 for
-bad usage or malformed setup/signal input.
+Every subcommand runs through one pipeline.  Its options are the setup
+options (--preset or --setup), its own options, then the output options
+(--out, --format).  Its handler maps (setup, args) to the report fields and
+the CSV text of its table, or None when the table is the report's
+``field,value`` rows.  main alone resolves the setup, puts "setup" first in
+the report, writes the JSON report or the table to stdout or --out, and
+sets the exit status.
+
+Exit status: 0 when checks pass, 1 when a mathematical check fails (the
+report's "passed" field is false, or the check's precondition fails), 2
+for bad usage or malformed setup/signal input.
 
 Reports are deterministic: identical invocations produce byte-identical
 output (no timestamps, fixed key order, repr-exact floats).
@@ -40,7 +49,6 @@ from .presets import load_setup_file, preset, preset_names
 from .setups import (
     DEFAULT_LIMIT_TOL,
     DEFAULT_TOL,
-    GeneralSetup,
     derive_generator,
     oep_check,
     validate_setup,
@@ -50,24 +58,6 @@ from .symfunc import evaluate, midpoint_chunks, parse, render
 
 _ROUTE_TOL = {ROUTE_PARSEVAL: 1e-6, ROUTE_DIRECT: 1e-2}
 _SIGNAL_FORM = re.compile(r"(bump|ind)\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
-
-
-def _add_setup_args(sp: argparse.ArgumentParser):
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument(
-        "--preset", choices=preset_names(), help="built-in setup by name"
-    )
-    g.add_argument("--setup", metavar="PATH", help="JSON setup file")
-
-
-def _add_output_args(sp: argparse.ArgumentParser):
-    sp.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    sp.add_argument(
-        "--format",
-        choices=("report", "table"),
-        default="report",
-        help="report = JSON, table = CSV (default: report)",
-    )
 
 
 def _add_grid_arg(sp: argparse.ArgumentParser):
@@ -80,7 +70,7 @@ def _add_grid_arg(sp: argparse.ArgumentParser):
     )
 
 
-def _add_signal_arg(sp: argparse.ArgumentParser):
+def _add_signal_args(sp: argparse.ArgumentParser):
     sp.add_argument(
         "--signal",
         required=True,
@@ -91,9 +81,6 @@ def _add_signal_arg(sp: argparse.ArgumentParser):
             "[-4, 4])"
         ),
     )
-
-
-def _add_level_args(sp: argparse.ArgumentParser):
     sp.add_argument(
         "--j", metavar="A..B", help="level window, e.g. -4..4 or a single level"
     )
@@ -101,14 +88,47 @@ def _add_level_args(sp: argparse.ArgumentParser):
     sp.add_argument("--jmax", type=int, metavar="B", help="highest level")
 
 
-def _setup_label(args) -> str:
-    return args.preset if args.preset else args.setup
+def _check_options(sp: argparse.ArgumentParser):
+    _add_grid_arg(sp)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                    help=f"residual tolerance (default {DEFAULT_TOL})")
+    sp.add_argument("--limit-tol", type=float, default=DEFAULT_LIMIT_TOL,
+                    help=f"0+ limit tolerance (default {DEFAULT_LIMIT_TOL})")
 
 
-def _resolve_setup(args) -> GeneralSetup:
-    if args.preset:
-        return preset(args.preset)
-    return load_setup_file(args.setup)
+def _parseval_options(sp: argparse.ArgumentParser):
+    _add_signal_args(sp)
+    sp.add_argument(
+        "--route",
+        choices=(ROUTE_PARSEVAL, ROUTE_DIRECT),
+        default=ROUTE_PARSEVAL,
+        help="parseval = closed-form level sums, direct = truncated "
+             "coefficient sums (default parseval)",
+    )
+    sp.add_argument("--M", type=int, default=2048, metavar="M",
+                    help="direct-route translation window |m| <= M (default 2048)")
+    _add_grid_arg(sp)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="relative tolerance on total vs ||f||^2 "
+                         "(default 1e-6 parseval route, 1e-2 direct route)")
+
+
+def _telescope_options(sp: argparse.ArgumentParser):
+    _add_signal_args(sp)
+    _add_grid_arg(sp)
+    sp.add_argument("--tol", type=float, default=1e-8,
+                    help="residual tolerance relative to ||f||^2 (default 1e-8)")
+
+
+def _levels_options(sp: argparse.ArgumentParser):
+    _add_signal_args(sp)
+    _add_grid_arg(sp)
+
+
+def _generators_options(sp: argparse.ArgumentParser):
+    sp.add_argument("--sample-log2", type=int, default=6, metavar="K",
+                    help="sample the generators at 2^K midpoints of "
+                         "[0, 1/2] (default 6)")
 
 
 def _resolve_grid(args) -> FrequencyGrid:
@@ -160,18 +180,6 @@ def _resolve_levels(args, default_min: int, default_max: int) -> tuple[int, int]
     return a, b
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(d: dict) -> str:
-    return json.dumps(d, indent=2) + "\n"
-
-
 def _kv_table(d: dict) -> str:
     lines = ["field,value"]
     for k, v in d.items():
@@ -189,19 +197,13 @@ def _rows_table(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_validate(args) -> int:
-    setup = _resolve_setup(args)
+def _cmd_validate(setup, args):
     grid = _resolve_grid(args)
     rep = validate_setup(setup, grid.log2_n, tol=args.tol, limit_tol=args.limit_tol)
-    d = {"setup": _setup_label(args)}
-    d.update(rep.to_dict())
-    text = _json_text(d) if args.format == "report" else _kv_table(d)
-    _emit(text, args.out)
-    return 0 if rep.passed else 1
+    return rep.to_dict(), None
 
 
-def _cmd_parseval(args) -> int:
-    setup = _resolve_setup(args)
+def _cmd_parseval(setup, args):
     grid = _resolve_grid(args)
     signal = _parse_signal(args.signal)
     j_min, j_max = _resolve_levels(args, -4, 4)
@@ -217,87 +219,54 @@ def _cmd_parseval(args) -> int:
         rep.neg_frequency_mass == 0.0
         and abs(rep.total - rep.signal_norm_sq) <= slack
     )
-    if args.format == "report":
-        d = {"setup": _setup_label(args)}
-        d.update(rep.to_dict())
-        d["tol"] = tol
-        d["passed"] = passed
-        text = _json_text(d)
-    else:
-        text = rep.to_csv_text()
-    _emit(text, args.out)
-    return 0 if passed else 1
+    return {**rep.to_dict(), "tol": tol, "passed": passed}, rep.to_csv_text()
 
 
-def _cmd_oep(args) -> int:
-    setup = _resolve_setup(args)
+def _cmd_oep(setup, args):
     grid = _resolve_grid(args)
     rep = oep_check(setup, grid.log2_n)
-    passed = rep.residual <= args.tol and rep.theta_limit_deviation <= args.limit_tol
-    d = {
-        "setup": _setup_label(args),
+    return {
         "grid_log2": grid.log2_n,
         "tol": args.tol,
         "limit_tol": args.limit_tol,
         "residual": rep.residual,
         "theta_min": rep.theta_min,
         "theta_limit_deviation": rep.theta_limit_deviation,
-        "passed": passed,
-    }
-    text = _json_text(d) if args.format == "report" else _kv_table(d)
-    _emit(text, args.out)
-    return 0 if passed else 1
+        "passed": rep.residual <= args.tol
+        and rep.theta_limit_deviation <= args.limit_tol,
+    }, None
 
 
-def _cmd_telescope(args) -> int:
-    setup = _resolve_setup(args)
+def _cmd_telescope(setup, args):
     grid = _resolve_grid(args)
     signal = _parse_signal(args.signal)
     j_min, j_max = _resolve_levels(args, 1, 1)
     nrm = norm_sq(signal.fhat, signal.support, grid)
     rows = telescoping_residual(signal.fhat, setup, range(j_min, j_max + 1), grid)
-    passed = all(resid <= args.tol * nrm for (_, resid) in rows)
-    if args.format == "report":
-        d = {
-            "setup": _setup_label(args),
-            "signal": signal.label,
-            "grid": grid.to_meta(),
-            "tol": args.tol,
-            "levels": [[j, resid] for (j, resid) in rows],
-            "signal_norm_sq": nrm,
-            "passed": passed,
-        }
-        text = _json_text(d)
-    else:
-        text = _rows_table("level,residual", rows)
-    _emit(text, args.out)
-    return 0 if passed else 1
+    return {
+        "signal": signal.label,
+        "grid": grid.to_meta(),
+        "tol": args.tol,
+        "levels": [[j, resid] for (j, resid) in rows],
+        "signal_norm_sq": nrm,
+        "passed": all(resid <= args.tol * nrm for (_, resid) in rows),
+    }, _rows_table("level,residual", rows)
 
 
-def _cmd_levels(args) -> int:
-    setup = _resolve_setup(args)
+def _cmd_levels(setup, args):
     grid = _resolve_grid(args)
     signal = _parse_signal(args.signal)
     j_min, j_max = _resolve_levels(args, -4, 4)
     prof = level_profile(signal.fhat, setup, range(j_min, j_max + 1), grid)
-    nrm = norm_sq(signal.fhat, signal.support, grid)
-    if args.format == "report":
-        d = {
-            "setup": _setup_label(args),
-            "signal": signal.label,
-            "grid": grid.to_meta(),
-            "levels": [[j, v] for (j, v) in prof],
-            "signal_norm_sq": nrm,
-        }
-        text = _json_text(d)
-    else:
-        text = _rows_table("level,value", prof)
-    _emit(text, args.out)
-    return 0
+    return {
+        "signal": signal.label,
+        "grid": grid.to_meta(),
+        "levels": [[j, v] for (j, v) in prof],
+        "signal_norm_sq": norm_sq(signal.fhat, signal.support, grid),
+    }, _rows_table("level,value", prof)
 
 
-def _cmd_generators(args) -> int:
-    setup = _resolve_setup(args)
+def _cmd_generators(setup, args):
     if not 2 <= args.sample_log2 <= 12:
         raise ValueError(
             f"sample-log2 must be in [2, 12], got {args.sample_log2}"
@@ -325,23 +294,24 @@ def _cmd_generators(args) -> int:
                 ],
             }
         )
-    if args.format == "report":
-        d = {
-            "setup": _setup_label(args),
-            "sample_log2": args.sample_log2,
-            "psi0_hat": render(setup.psi0_hat),
-            "generators": gens,
-        }
-        text = _json_text(d)
-    else:
-        rows = [
-            (gen["index"], x, re_, im_)
-            for gen in gens
-            for (x, re_, im_) in gen["samples"]
-        ]
-        text = _rows_table("generator,gamma,re,im", rows)
-    _emit(text, args.out)
-    return 0
+    rows = [(gen["index"], *sample) for gen in gens for sample in gen["samples"]]
+    return {
+        "sample_log2": args.sample_log2,
+        "psi0_hat": render(setup.psi0_hat),
+        "generators": gens,
+    }, _rows_table("generator,gamma,re,im", rows)
+
+
+# name, help, handler, options between the setup and the output options
+_COMMANDS = (
+    ("validate", "check setup hypotheses", _cmd_validate, _check_options),
+    ("parseval", "verify the frame identity", _cmd_parseval, _parseval_options),
+    ("oep", "weighted filter-condition report", _cmd_oep, _check_options),
+    ("telescope", "one-level collapse residual", _cmd_telescope, _telescope_options),
+    ("levels", "scaling-level energy profile", _cmd_levels, _levels_options),
+    ("generators", "derived generator expressions", _cmd_generators,
+     _generators_options),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,80 +323,42 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="check setup hypotheses")
-    _add_setup_args(sp)
-    _add_grid_arg(sp)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                    help=f"residual tolerance (default {DEFAULT_TOL})")
-    sp.add_argument("--limit-tol", type=float, default=DEFAULT_LIMIT_TOL,
-                    help=f"0+ limit tolerance (default {DEFAULT_LIMIT_TOL})")
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("parseval", help="verify the frame identity")
-    _add_setup_args(sp)
-    _add_signal_arg(sp)
-    _add_level_args(sp)
-    sp.add_argument(
-        "--route",
-        choices=(ROUTE_PARSEVAL, ROUTE_DIRECT),
-        default=ROUTE_PARSEVAL,
-        help="parseval = closed-form level sums, direct = truncated "
-             "coefficient sums (default parseval)",
-    )
-    sp.add_argument("--M", type=int, default=2048, metavar="M",
-                    help="direct-route translation window |m| <= M (default 2048)")
-    _add_grid_arg(sp)
-    sp.add_argument("--tol", type=float, default=None,
-                    help="relative tolerance on total vs ||f||^2 "
-                         "(default 1e-6 parseval route, 1e-2 direct route)")
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_parseval)
-
-    sp = sub.add_parser("oep", help="weighted filter-condition report")
-    _add_setup_args(sp)
-    _add_grid_arg(sp)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                    help=f"residual tolerance (default {DEFAULT_TOL})")
-    sp.add_argument("--limit-tol", type=float, default=DEFAULT_LIMIT_TOL,
-                    help=f"0+ limit tolerance (default {DEFAULT_LIMIT_TOL})")
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_oep)
-
-    sp = sub.add_parser("telescope", help="one-level collapse residual")
-    _add_setup_args(sp)
-    _add_signal_arg(sp)
-    _add_level_args(sp)
-    _add_grid_arg(sp)
-    sp.add_argument("--tol", type=float, default=1e-8,
-                    help="residual tolerance relative to ||f||^2 (default 1e-8)")
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_telescope)
-
-    sp = sub.add_parser("levels", help="scaling-level energy profile")
-    _add_setup_args(sp)
-    _add_signal_arg(sp)
-    _add_level_args(sp)
-    _add_grid_arg(sp)
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_levels)
-
-    sp = sub.add_parser("generators", help="derived generator expressions")
-    _add_setup_args(sp)
-    sp.add_argument("--sample-log2", type=int, default=6, metavar="K",
-                    help="sample the generators at 2^K midpoints of "
-                         "[0, 1/2] (default 6)")
-    _add_output_args(sp)
-    sp.set_defaults(func=_cmd_generators)
-
+    for name, help_text, handler, add_options in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument(
+            "--preset", choices=preset_names(), help="built-in setup by name"
+        )
+        g.add_argument("--setup", metavar="PATH", help="JSON setup file")
+        add_options(sp)
+        sp.add_argument("--out", metavar="PATH",
+                        help="write output here instead of stdout")
+        sp.add_argument(
+            "--format",
+            choices=("report", "table"),
+            default="report",
+            help="report = JSON, table = CSV (default: report)",
+        )
+        sp.set_defaults(func=handler)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        setup = preset(args.preset) if args.preset else load_setup_file(args.setup)
+        fields, csv_text = args.func(setup, args)
+        report = {"setup": args.preset or args.setup, **fields}
+        if args.format == "report":
+            text = json.dumps(report, indent=2) + "\n"
+        else:
+            text = _kv_table(report) if csv_text is None else csv_text
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 1 if report.get("passed") is False else 0
     except UepPreconditionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

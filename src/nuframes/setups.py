@@ -17,7 +17,7 @@ The generators are ψ̂ₗ(γ) = Hₗ(γ/(2N))·ψ̂₀(γ/(2N)); their support 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -108,20 +108,7 @@ class ConditionReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "grid_log2": self.grid_log2,
-            "tol": self.tol,
-            "limit_tol": self.limit_tol,
-            "refinement_residual": self.refinement_residual,
-            "support_leak": self.support_leak,
-            "limit_deviation": self.limit_deviation,
-            "uep_residual": self.uep_residual,
-            "oep_residual": self.oep_residual,
-            "theta_min": self.theta_min,
-            "theta_limit_deviation": self.theta_limit_deviation,
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _theta_values(theta: FreqExpr, g: np.ndarray, d: float) -> list[np.ndarray]:
@@ -133,8 +120,9 @@ def _theta_values(theta: FreqExpr, g: np.ndarray, d: float) -> list[np.ndarray]:
     """
     xs = (g, d * g)
     vs = [evaluate(theta, x) for x in xs]
-    # per cell, in order: θ(γ) not real, θ(γ) ≤ 0, θ(dγ) not real, θ(dγ) ≤ 0
-    faults = [m for v in vs for m in (np.abs(v.imag) > 1e-12, v.real <= 0.0)]
+    # per cell, in order: θ(γ) not real, θ(γ) not > 0 (≤ 0 or nan), then
+    # the same for θ(dγ)
+    faults = [m for v in vs for m in (np.abs(v.imag) > 1e-12, ~(v.real > 0.0))]
     bad = np.logical_or.reduce(faults)
     if bad.any():
         i = int(np.argmax(bad))

@@ -56,26 +56,40 @@ def _check_interval(a, b) -> tuple[Fraction, Fraction]:
     return a, b
 
 
+def probe_support(fhat: FreqExpr, support, window):
+    """(interval, fault) for fhat and a declared support inside a window.
+
+    interval is what zero_outside proves for fhat on the window, or None.
+    When it does not lie in the support, fhat is probed at 64 midpoints
+    between each end of the support and the window's (above first); fault
+    is then (magnitude, gamma) of the worst probe on the first side above
+    1e-12, and None when no probe is.
+    """
+    a, b = support
+    lo, hi = window
+    iv = zero_outside(fhat, lo, hi)
+    if iv is not None and (iv[0] > iv[1] or (a <= iv[0] and iv[1] <= b)):
+        return iv, None
+    k = np.arange(_SPOT_PROBES) + 0.5
+    for end, reach in ((b, hi - b), (a, lo - a)):
+        probes = float(end) + k * float(reach / _SPOT_PROBES)
+        v = np.abs(evaluate(fhat, probes))
+        i = int(np.argmax(v))
+        if v[i] > _SPOT_TOL:
+            return iv, (float(v[i]), float(probes[i]))
+    return iv, None
+
+
 def _spot_check(spec: SignalSpec):
     """Check that the expression vanishes within 4 beyond each end of the
-    declared support: proved by zero_outside where it can, otherwise by 64
-    probes on each side."""
+    declared support (see probe_support)."""
     a, b = spec.support
-    iv = zero_outside(spec.fhat, a - _SPOT_REACH, b + _SPOT_REACH)
-    if iv is not None and (iv[0] > iv[1] or (a <= iv[0] and iv[1] <= b)):
-        return
-    step = _SPOT_REACH / _SPOT_PROBES
-    k = np.arange(_SPOT_PROBES) + 0.5
-    above = float(b) + k * float(step)
-    below = float(a) - k * float(step)
-    for probes in (above, below):
-        v = evaluate(spec.fhat, probes)
-        worst = float(np.max(np.abs(v)))
-        if worst > _SPOT_TOL:
-            raise ValueError(
-                f"{spec.label}: expression has magnitude {worst:.3e} outside "
-                f"declared support [{a}, {b}]"
-            )
+    _, fault = probe_support(spec.fhat, spec.support, (a - _SPOT_REACH, b + _SPOT_REACH))
+    if fault:
+        raise ValueError(
+            f"{spec.label}: expression has magnitude {fault[0]:.3e} outside "
+            f"declared support [{a}, {b}]"
+        )
 
 
 def hann_bump(a, b) -> SignalSpec:

@@ -776,9 +776,30 @@ def _render(e: FreqExpr, min_level: int) -> str:
     return text
 
 
+def _const_text(v: Fraction) -> str:
+    """str(v), or the shorter form mek (1e200, 1e-30) when v = m·10^k and
+    str(v) is longer than 20 characters; parse reads both back to v."""
+    text = str(v)
+    if len(text) <= 20:
+        return text
+    d, twos, fives = v.denominator, 0, 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    while d % 5 == 0:
+        d, fives = d // 5, fives + 1
+    if d != 1:
+        return text
+    k = -max(twos, fives)
+    m = (v * 10**-k).numerator
+    while m % 10 == 0:
+        m, k = m // 10, k + 1
+    exp = f"{m}e{k}"
+    return exp if len(exp) < len(text) else text
+
+
 def _render_bare(e: FreqExpr) -> str:
     if isinstance(e, RationalConst):
-        return str(e.value)
+        return _const_text(e.value)
     if isinstance(e, RealConst):
         return repr(e.value)
     if isinstance(e, ImaginaryUnit):

@@ -438,6 +438,60 @@ def test_out_files_byte_identical(capsys, tmp_path):
     assert a.read_bytes().endswith(b"\n")
 
 
+_OUTPUT_CASES = {
+    "validate": (["--grid-log2", "14"], "field,value"),
+    "parseval": (["--signal", "bump(9/64,31/64)", "--j=-2..2", "--grid-log2", "14"],
+                 "generator,level,value"),
+    "oep": (["--grid-log2", "14"], "field,value"),
+    "telescope": (["--signal", "bump(9/64,31/64)", "--j", "0..1", "--grid-log2", "14"],
+                  "level,residual"),
+    "levels": (["--signal", "bump(1/4,2)", "--j=-2..1", "--grid-log2", "14"],
+               "level,value"),
+    "generators": (["--sample-log2", "3"], "generator,gamma,re,im"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["report", "table"])
+@pytest.mark.parametrize("command", sorted(_OUTPUT_CASES))
+def test_every_subcommand_writes_one_output(capsys, tmp_path, command, fmt):
+    """stdout and --out carry the same bytes; a report starts with "setup",
+    a table with the subcommand's header."""
+    options, header = _OUTPUT_CASES[command]
+    argv = [command, "--preset", "ex5.2", *options, "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    out_file = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == out.encode()
+    if fmt == "report":
+        assert next(iter(json.loads(out))) == "setup"
+    else:
+        assert out.split("\n", 1)[0] == header
+
+
+_SETUP_USAGE = "(--preset {ex5.1,ex5.2} | --setup PATH)"
+_OUTPUT_USAGE = "[--out PATH] [--format {report,table}]"
+_SIGNAL_USAGE = "--signal SPEC [--j A..B] [--jmin A] [--jmax B]"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("validate", "[--grid-log2 K] [--tol TOL] [--limit-tol LIMIT_TOL]"),
+    ("parseval", f"{_SIGNAL_USAGE} [--route {{parseval,direct}}] [--M M] "
+                 "[--grid-log2 K] [--tol TOL]"),
+    ("oep", "[--grid-log2 K] [--tol TOL] [--limit-tol LIMIT_TOL]"),
+    ("telescope", f"{_SIGNAL_USAGE} [--grid-log2 K] [--tol TOL]"),
+    ("levels", f"{_SIGNAL_USAGE} [--grid-log2 K]"),
+    ("generators", "[--sample-log2 K]"),
+])
+def test_help_usage_keeps_option_order(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n", 1)[0].split())
+    assert usage == (f"usage: nuframes {command} [-h] {_SETUP_USAGE} {options} "
+                     f"{_OUTPUT_USAGE}")
+
+
 def test_out_file_write_error_exits_two(capsys, tmp_path):
     code, _, err = run(
         capsys, "validate", "--preset", "ex5.2", "--grid-log2", "14",

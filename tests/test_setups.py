@@ -207,6 +207,17 @@ def test_theta_fault_names_the_first_point():
     want = f"scaling symbol is {(first - 3 / 8) * (first - 3 / 8) - 1 / 64} at gamma={first};"
     with pytest.raises(ThetaNotPositive, match=f"^{re.escape(want)}"):
         oep_check(s, grid_log2=16)
+    # θ = 1 + ∞·χ[1/4,1/2] is nan (0·∞) below 1/4, so the first cell fails,
+    # as θ ≤ 0 does; nan must not pass as positive.
+    s = setup_from_dict({
+        "N": 1, "r": 1, "psi0_hat": "chi[0,1/4]",
+        "filters": ["chi[0,1/16]", "1 - chi[0,1/16]"],
+        "theta": "1 + 1e200*1e200*chi[1/4,1/2]",
+    })
+    want = f"scaling symbol is nan at gamma={2.0**-16}; it must be strictly positive"
+    for check in (oep_normalize, oep_check):
+        with pytest.raises(ThetaNotPositive, match=f"^{re.escape(want)}$"):
+            check(s, grid_log2=14)
 
 
 def test_validate_report_round_trips_to_dict(ex51):
