@@ -358,7 +358,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return 1 if report.get("passed") is False else 0
+        return 0 if report.get("passed", True) else 1
     except UepPreconditionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
