@@ -646,6 +646,12 @@ _GOLDEN = [
       0.0, 0.0018428257658044099, 0.6544071742534204,
       0.0, 0.0, 0.0,
      ], 0.6562500000192248, 0.65625),
+    ('ex5.2', 'ind(1/8,1/2)', 'parseval',
+     [
+      0.0, 0.0, 0.0,
+      0.0, 0.375, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.375, 0.375),
     ('ex5.1', 'sqrt(abs2(sin(3*g)))*chi(0,1/4]', 'parseval',
      [
       2.0397095769442725e-13, 1.3054041281933024e-11, 8.35356237091055e-10,
@@ -704,17 +710,18 @@ _GOLDEN = [
 
 
 def _golden_signal(label):
-    if label.startswith("bump("):
-        a, b = label[5:-1].split(",")
-        return hann_bump(F(a), F(b))
+    for name, family in (("bump(", hann_bump), ("ind(", indicator_signal)):
+        if label.startswith(name):
+            a, b = label[len(name):-1].split(",")
+            return family(F(a), F(b))
     return SignalSpec(parse(label), (F(0), F(1, 4)), label)
 
 
 @pytest.mark.parametrize("name, label, route, levels, total, nrm", _GOLDEN)
 def test_reports_keep_golden_bits(name, label, route, levels, total, nrm):
     """Float64 evaluation and the exact sum give the recorded bits: sin,
-    cos and sinc generators, indicators, a bump, sqrt, abs2, recip and a
-    complex signal, on both routes."""
+    cos and sinc generators, indicators, a bump, sqrt, abs2, recip, a
+    complex signal and an all-indicator report, on both routes."""
     grid = FrequencyGrid(F(0), F(1, 2), 16 if route == "parseval" else 14)
     r = parseval_report(_golden_signal(label), preset(name), -4, 4,
                         route=route, M=64, grid=grid)
