@@ -15,8 +15,11 @@ exact zero, and an exactly rounded sum or a max does not change when zeros
 are dropped or the cells are cut differently, so the results are the same
 bits as one array over every cell.  Where nothing is proved, every cell is
 evaluated.  The validate scans in setups skip proven zeros the same way.
-Only the direct route, whose FFT needs every sample at once, evaluates the
-grid as one array.
+A block's integrand comes from symfunc.evaluate_block: when it is one value
+for the whole block (indicators decided on the block, constants), it enters
+the exact sum as a zero-stride view, which bins that value once and counts
+it once per cell.  Only the direct route, whose FFT needs every sample at
+once, evaluates the grid as one array, through evaluate.
 
 The Parseval frame property is verified by two deliberately independent
 routes:
@@ -53,6 +56,7 @@ from .symfunc import (
     cell_chunks,
     cell_range,
     evaluate,
+    evaluate_block,
     midpoint_chunks,
     render,
     squared_modulus,
@@ -141,19 +145,23 @@ def _exact_sum(arrays) -> float:
 
     The hi and frac parts of the values are bincounted per exponent, which
     is exact, and the bins of every array add into one Python int, rounded
-    once by int true division.  fsum can overflow on the way, or meet inf
-    or nan, only where the magnitudes may add up to 2^1023; on the first
-    such array math.fsum itself sums a fresh arrays() from the start.
+    once by int true division.  A zero-stride array (np.broadcast_to of one
+    value) is one value K times: its one value is binned and its bins count
+    K times.  fsum can overflow on the way, or meet inf or nan, only where
+    the magnitudes may add up to 2^1023; on the first such array math.fsum
+    itself sums a fresh arrays() from the start.
     """
     total = 0  # the exact sum, in units of 2^−1126
     bound = 0  # Σ|x| so far is below bound, in the same units
     for x in arrays():
         for s in range(0, len(x), _BINCOUNT_MAX):
-            u, e = np.frexp(x[s : s + _BINCOUNT_MAX])
+            c = x[s : s + _BINCOUNT_MAX]
+            weight = len(c) if c.strides == (0,) else 1
+            u, e = np.frexp(c[:1] if weight > 1 else c)
             # frexp's exponent of inf or nan is unspecified, so test first
             finite = math.isfinite(u.sum())
             if finite:
-                bound += len(u) << (int(e.max(initial=0)) + _UNIT_LOG2)
+                bound += len(c) << (int(e.max(initial=0)) + _UNIT_LOG2)
             if not finite or bound >= 1 << (1023 + _UNIT_LOG2):
                 return math.fsum(itertools.chain.from_iterable(arrays()))
             u *= 2.0**27
@@ -163,15 +171,17 @@ def _exact_sum(arrays) -> float:
             hi_bins = np.bincount(e, weights=hi)
             frac_bins = np.bincount(e, weights=u)
             for k in np.flatnonzero(hi_bins):
-                total += int(hi_bins[k]) << (int(k) + 26)
+                total += weight * int(hi_bins[k]) << (int(k) + 26)
             for k in np.flatnonzero(frac_bins):
-                total += int(frac_bins[k] * 2.0**26) << int(k)
+                total += weight * int(frac_bins[k] * 2.0**26) << int(k)
     return total / (1 << _UNIT_LOG2)
 
 
 def _stream_real_integral(fn, grid: FrequencyGrid, interval) -> float:
     """h·Σ fn(γ) over the grid cells that can meet the closed interval (every
-    cell when it is None), fn real-valued and exactly zero elsewhere.
+    cell when it is None), fn real-valued and exactly zero elsewhere.  fn
+    takes one block of midpoints and returns its values, or one value for
+    the whole block (see symfunc.evaluate_block).
 
     One exact sum, equal to math.fsum, takes the values of every chunk, so
     the result does not depend on the chunking.  Overflow gives inf or nan,
@@ -180,7 +190,8 @@ def _stream_real_integral(fn, grid: FrequencyGrid, interval) -> float:
     k0, k1 = cell_range(grid.a, grid.b, grid.log2_n, interval)
 
     def values():
-        return map(fn, cell_chunks(grid.a, grid.b, grid.log2_n, k0, k1))
+        for g in cell_chunks(grid.a, grid.b, grid.log2_n, k0, k1):
+            yield np.broadcast_to(fn(g), g.shape)
 
     with np.errstate(all="ignore"):
         try:
@@ -352,7 +363,9 @@ def lattice_sum_parseval(
     scale = _level_scales(ts, j)[0]
 
     def integrand(g):
-        return scale * squared_modulus(evaluate(f_hat, scale * g) * evaluate(g_hat, g))
+        return scale * squared_modulus(
+            evaluate_block(f_hat, scale * g) * evaluate_block(g_hat, g)
+        )
 
     value = _stream_real_integral(integrand, grid, _level_support(f_hat, g_iv, scale))
     if not math.isfinite(value):
@@ -389,7 +402,7 @@ def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> floa
     sub = FrequencyGrid(a, b, grid.log2_n)
 
     def integrand(g):
-        return squared_modulus(evaluate(f_hat, g))
+        return squared_modulus(evaluate_block(f_hat, g))
 
     value = _stream_real_integral(integrand, sub, zero_outside(f_hat, a, b))
     if not math.isfinite(value):

@@ -16,6 +16,7 @@ The generators are ψ̂ₗ(γ) = Hₗ(γ/(2N))·ψ̂₀(γ/(2N)); their support 
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .symfunc import (
     cell_range,
     dilate_arg,
     evaluate,
+    evaluate_block,
     midpoint_chunks,
     product_of,
     squared_modulus,
@@ -112,22 +114,23 @@ class ConditionReport:
 
 
 def _theta_values(theta: FreqExpr, g: np.ndarray, d: float) -> list[np.ndarray]:
-    """[θ(γ), θ(dγ)] on one block, checked real and strictly positive.
+    """[θ(γ), θ(dγ)] on one block, checked real and strictly positive; each
+    has the block's shape or is one value for the block.
 
     A failure names the first cell in ascending γ, and there θ(γ) before
     θ(dγ) and realness before sign, so the message does not depend on how
     the grid is cut into blocks.
     """
     xs = (g, d * g)
-    vs = [evaluate(theta, x) for x in xs]
+    vs = [evaluate_block(theta, x) for x in xs]
     # per cell, in order: θ(γ) not real, θ(γ) not > 0 (≤ 0 or nan), then
     # the same for θ(dγ)
     faults = [m for v in vs for m in (np.abs(v.imag) > 1e-12, ~(v.real > 0.0))]
-    bad = np.logical_or.reduce(faults)
+    bad = functools.reduce(np.logical_or, faults)
     if bad.any():
-        i = int(np.argmax(bad))
-        k = next(k for k, m in enumerate(faults) if m[i])
-        x, v = xs[k // 2], vs[k // 2]
+        i = int(np.argmax(np.broadcast_to(bad, g.shape)))
+        k = next(k for k, m in enumerate(faults) if np.broadcast_to(m, g.shape)[i])
+        x, v = xs[k // 2], np.broadcast_to(vs[k // 2], g.shape)
         if k % 2 == 0:
             raise ThetaNotPositive(
                 f"scaling symbol must be real, got {complex(v[i])} "
@@ -200,12 +203,14 @@ def _filter_scan(
             for ell, (h, (k0, k1)) in enumerate(zip(filters, ranges)):
                 i0, i1 = max(k0 - s, 0), min(k1 - s, len(g))
                 if i0 < i1:
-                    a = squared_modulus(evaluate(h, g[i0:i1]))
+                    a = squared_modulus(evaluate_block(h, g[i0:i1]))
                     u[i0:i1] += a
                     if theta is not None and ell > 0:
                         w[i0:i1] += a
                 if theta is not None and ell == 0:
-                    w *= u  # in place, so the scan holds no extra block
+                    # in place when w holds the block, so the scan holds no
+                    # extra block; a w that is one value makes a fresh one
+                    w = w * u if w.size < u.size else np.multiply(w, u, out=w)
             uep = _sup(uep, u - 1.0, "filter condition residual")
             if theta is not None:
                 oep = _sup(oep, w - t, "weighted filter condition residual")
@@ -245,7 +250,9 @@ def validate_setup(
     Every scan streams its grid in blocks and evaluates an expression only
     on the cells that can meet the support zero_outside proves for it; the
     other cells hold exact zeros, which change no sup, so each residual is
-    the same bits as a scan of every cell in one array.
+    the same bits as a scan of every cell in one array.  Values come from
+    symfunc.evaluate_block, so one that is the same on a whole block (a
+    decided indicator, θ ≡ 1) is one element that broadcasts.
     """
     if grid_log2 < 10:
         raise ValueError(f"grid_log2 must be at least 10, got {grid_log2}")
@@ -260,8 +267,8 @@ def validate_setup(
     rhs_iv = zero_outside(Product((s.filters[0], s.psi0_hat)), 0, quarter)
     k0, k1 = cell_range(0, quarter, grid_log2, _hull(lhs_iv, rhs_iv))
     for g in cell_chunks(0, quarter, grid_log2, k0, k1):
-        lhs = evaluate(s.psi0_hat, d * g)
-        rhs = evaluate(s.filters[0], g) * evaluate(s.psi0_hat, g)
+        lhs = evaluate_block(s.psi0_hat, d * g)
+        rhs = evaluate_block(s.filters[0], g) * evaluate_block(s.psi0_hat, g)
         refinement = _sup(refinement, lhs - rhs, "refinement residual")
 
     # Only cells that can meet ψ̂₀'s proven support are scanned; the others
@@ -270,7 +277,7 @@ def validate_setup(
     for a, b in ((quarter, SUPPORT_SCAN_REACH), (-SUPPORT_SCAN_REACH, Fraction(0))):
         k0, k1 = cell_range(a, b, grid_log2, zero_outside(s.psi0_hat, a, b))
         for g in cell_chunks(a, b, grid_log2, k0, k1):
-            leak = _sup(leak, evaluate(s.psi0_hat, g), "support leak")
+            leak = _sup(leak, evaluate_block(s.psi0_hat, g), "support leak")
 
     limit_dev = _limit_deviation(s.psi0_hat)
     uep, oep, theta_min = _filter_scan(s.ts, s.filters, s.theta, grid_log2)

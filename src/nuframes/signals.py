@@ -63,7 +63,7 @@ def probe_support(fhat: FreqExpr, support, window):
     When it does not lie in the support, fhat is probed at 64 midpoints
     between each end of the support and the window's (above first); fault
     is then (magnitude, gamma) of the worst probe on the first side above
-    1e-12, and None when no probe is.
+    1e-12 or nan, and None when no probe is.
     """
     a, b = support
     lo, hi = window
@@ -74,8 +74,8 @@ def probe_support(fhat: FreqExpr, support, window):
     for end, reach in ((b, hi - b), (a, lo - a)):
         probes = float(end) + k * float(reach / _SPOT_PROBES)
         v = np.abs(evaluate(fhat, probes))
-        i = int(np.argmax(v))
-        if v[i] > _SPOT_TOL:
+        i = int(np.argmax(v))  # the first nan, if there is one
+        if not v[i] <= _SPOT_TOL:
             return iv, (float(v[i]), float(probes[i]))
     return iv, None
 

@@ -22,11 +22,17 @@ round is open, square is closed, so ``chi(0,1/8]`` is the indicator of
 (0, 1/8].  ``sinc`` is unnormalized sin(x)/x with sinc(0) = 1.  ``recip`` is
 the guarded reciprocal of a strictly positive subexpression; evaluation at a
 point where the argument is not strictly positive raises ThetaNotPositive.
+
+evaluate returns one value per point.  The grid scans call evaluate_block
+on one block of points instead: it decides each indicator whose endpoints
+the block does not straddle and returns a value that is the same on every
+point of the block as one element, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,10 +257,34 @@ def evaluate(e: FreqExpr, gamma):
     g = np.asarray(gamma, dtype=np.float64)
     with np.errstate(all="ignore"):
         if g.ndim == 0:
-            out = _eval(e, g.reshape(1))
-            return complex(out[0])
-        out = _eval(e, g)
-        return out.copy() if out is g else out
+            return complex(_eval(e, g.reshape(1), None)[0])
+        out = _eval(e, g, None)
+    if out is g or out.shape != g.shape:
+        return np.broadcast_to(out, g.shape).copy()
+    return out
+
+
+def evaluate_block(e: FreqExpr, g: np.ndarray) -> np.ndarray:
+    """evaluate(e, g) for an array g, except that a value that is the same
+    at every point of g comes back as one element: the result has g's shape
+    or shape (1,), which broadcasts to it, with evaluate's dtype and bits.
+
+    An Indicator is decided on g from g.min() and g.max(), by the float
+    comparisons evaluation makes, when every point lies on one side of each
+    endpoint; a nan in g decides nothing, and evaluate decides none.
+    Constants and decided indicators are one value, and so are +, −, ×,
+    negation, Scale, abs2 and conj of one-value operands.  sin, cos, sinc,
+    sqrt and recip broadcast their argument to g's shape first, so their
+    values, and the point a raised error names, are those of evaluate.  The
+    result may be g itself.
+    """
+    span = None
+    with np.errstate(all="ignore"):
+        if g.size:
+            lo, hi = g.min(), g.max()
+            if lo == lo:  # both are nan when g holds a nan
+                span = (lo, hi)
+        return _eval(e, g, span)
 
 
 def squared_modulus(v: np.ndarray) -> np.ndarray:
@@ -274,33 +304,41 @@ def _first_bad(g, v, mask):
     return float(g[i]), complex(v[i])
 
 
-def _fold(op, parts, g: np.ndarray) -> np.ndarray:
+def _fold(op, parts, g: np.ndarray, span) -> np.ndarray:
     """op over the values of parts, left to right; in place after the first
-    step, which makes a fresh array, unless a complex value meets a real
-    accumulator."""
-    acc = op(_eval(parts[0], g), _eval(parts[1], g))
+    step, which makes a fresh array, unless a full operand meets a one-value
+    accumulator or a complex value meets a real one."""
+    acc = op(_eval(parts[0], g, span), _eval(parts[1], g, span))
     for p in parts[2:]:
-        v = _eval(p, g)
-        if np.iscomplexobj(v) and not np.iscomplexobj(acc):
+        v = _eval(p, g, span)
+        if v.size > acc.size or (np.iscomplexobj(v) and not np.iscomplexobj(acc)):
             acc = op(acc, v)
         else:
             op(acc, v, out=acc)
     return acc
 
 
-def _eval(e: FreqExpr, g: np.ndarray) -> np.ndarray:
+def _whole(e: FreqExpr, g: np.ndarray, span) -> np.ndarray:
+    """e's values on g at g's shape (a read-only view when they are one
+    value)."""
+    return np.broadcast_to(_eval(e, g, span), g.shape)
+
+
+def _eval(e: FreqExpr, g: np.ndarray, span) -> np.ndarray:
+    """e's values on g (see evaluate_block); span is (g.min(), g.max()), or
+    None when indicators are not to be decided on the block."""
     if isinstance(e, (RationalConst, RealConst)):
-        return np.full(g.shape, float(e.value))
+        return np.full(1, float(e.value))
     if isinstance(e, ImaginaryUnit):
-        return np.full(g.shape, 1j)
+        return np.full(1, 1j)
     if isinstance(e, Var):
         return g
     if isinstance(e, Sin):
-        return np.sin(_eval(e.arg, g))
+        return np.sin(_whole(e.arg, g, span))
     if isinstance(e, Cos):
-        return np.cos(_eval(e.arg, g))
+        return np.cos(_whole(e.arg, g, span))
     if isinstance(e, Sinc):
-        x = _eval(e.arg, g)
+        x = _whole(e.arg, g, span)
         zero = x == 0
         safe = np.where(zero, 1.0, x)
         # A real x takes sin(x)·(1/x): that is what complex division by a
@@ -311,31 +349,36 @@ def _eval(e: FreqExpr, g: np.ndarray) -> np.ndarray:
             ratio = np.sin(safe) * (1.0 / safe)
         return np.where(zero, 1.0, ratio)
     if isinstance(e, Sqrt):
-        v = _eval(e.arg, g)
+        v = _whole(e.arg, g, span)
         bad = _off_real_axis(v) | (v.real < -IMAG_TOL)
         if bad.any():
             gp, vp = _first_bad(g, v, bad)
             raise NegativeSqrt(f"sqrt of non-nonnegative value {vp} at gamma={gp}")
         return np.sqrt(np.maximum(v.real, 0.0))
     if isinstance(e, Abs2):
-        return squared_modulus(_eval(e.arg, g))
+        return squared_modulus(_eval(e.arg, g, span))
     if isinstance(e, Conj):
-        return np.conj(_eval(e.arg, g))
+        return np.conj(_eval(e.arg, g, span))
     if isinstance(e, Indicator):
         lo, hi = float(e.lo), float(e.hi)
-        m_lo = (g >= lo) if e.lo_closed else (g > lo)
-        m_hi = (g <= hi) if e.hi_closed else (g < hi)
-        return (m_lo & m_hi).astype(np.float64)
+        above = operator.ge if e.lo_closed else operator.gt
+        below = operator.le if e.hi_closed else operator.lt
+        if span is not None:
+            if above(span[0], lo) and below(span[1], hi):
+                return np.ones(1)
+            if not (above(span[1], lo) and below(span[0], hi)):
+                return np.zeros(1)
+        return (above(g, lo) & below(g, hi)).astype(np.float64)
     if isinstance(e, Sum):
-        return _fold(np.add, e.terms, g)
+        return _fold(np.add, e.terms, g, span)
     if isinstance(e, Product):
-        return _fold(np.multiply, e.factors, g)
+        return _fold(np.multiply, e.factors, g, span)
     if isinstance(e, Negate):
-        return -_eval(e.arg, g)
+        return -_eval(e.arg, g, span)
     if isinstance(e, Scale):
-        return float(e.coeff) * _eval(e.arg, g)
+        return float(e.coeff) * _eval(e.arg, g, span)
     if isinstance(e, PositiveReciprocal):
-        v = _eval(e.arg, g)
+        v = _whole(e.arg, g, span)
         bad = _off_real_axis(v) | (v.real <= 0.0)
         if bad.any():
             gp, vp = _first_bad(g, v, bad)
@@ -823,7 +866,7 @@ def _render_bare(e: FreqExpr) -> str:
     if isinstance(e, Indicator):
         lb = "[" if e.lo_closed else "("
         rb = "]" if e.hi_closed else ")"
-        return f"chi{lb}{e.lo},{e.hi}{rb}"
+        return f"chi{lb}{_const_text(e.lo)},{_const_text(e.hi)}{rb}"
     if isinstance(e, Sum):
         parts = [_render(e.terms[0], _LEVEL_PRODUCT)]
         for t in e.terms[1:]:

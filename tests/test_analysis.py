@@ -28,7 +28,7 @@ from nuframes import (
     validate_setup,
 )
 from nuframes import symfunc
-from nuframes.analysis import _coset_sq, _exact_sum
+from nuframes.analysis import _coset_sq, _exact_sum, _half_line_support
 from nuframes.errors import (
     NegativeSqrt,
     SupportViolation,
@@ -72,13 +72,17 @@ _EXTREME = st.one_of(
 @st.composite
 def _split_summands(draw, elements):
     """Values with some of their negatives mixed in (cancellation), in
-    random order, cut into up to four chunks."""
+    random order, cut into up to four chunks, with up to three runs of one
+    value put in among them as zero-stride np.broadcast_to views."""
     xs = draw(st.lists(elements, max_size=40))
     if xs:
         xs += [-x for x in draw(st.lists(st.sampled_from(xs), max_size=20))]
     xs = draw(st.permutations(xs))
     cuts = sorted(draw(st.lists(st.integers(0, len(xs)), max_size=3)))
-    return xs, np.split(np.array(xs, dtype=np.float64), cuts)
+    chunks = np.split(np.array(xs, dtype=np.float64), cuts)
+    for v, k in draw(st.lists(st.tuples(elements, st.integers(1, 1 << 14)), max_size=3)):
+        chunks.insert(draw(st.integers(0, len(chunks))), np.broadcast_to(np.float64(v), k))
+    return np.concatenate(chunks).tolist(), chunks
 
 
 def _outcome(fn):
@@ -119,6 +123,11 @@ def test_exact_sum_cases():
     x = rng.standard_normal(1 << 20) * 2.0 ** rng.integers(-60, 60, 1 << 20)
     halves = np.split(x, [1 << 19])
     assert _exact_sum(lambda: halves) == math.fsum(x)
+    # a zero-stride run is its value K times, in the sum and in the bound
+    # on Σ|x| past which fsum itself runs
+    for v, k in ((0.1, 1 << 20), (0.75 * 2.0**1021, 16), (-(2.0**-1074), 3)):
+        run = [np.broadcast_to(v, k)]
+        assert _outcome(lambda: _exact_sum(lambda: run)) == _outcome(lambda: math.fsum([v] * k))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +298,9 @@ def test_support_probe_rejects_wide_analyzers(grid14):
         lattice_sum_parseval(sig.fhat, parse("chi(-1/4,1/4]"), TS, 0, grid14)
     with pytest.raises(SupportViolation):
         lattice_sum_direct_detail(sig.fhat, parse("chi(0,1]"), TS, 0, M=16, grid=grid14)
+    # inf·0 is nan outside [0, 1/2]: a nan probe is a violation, not a pass
+    with pytest.raises(SupportViolation, match="magnitude nan at gamma=0.52734375"):
+        _half_line_support(parse("1e200*1e200*sqrt(chi[0,1/2])"))
 
 
 def test_working_window_enforced(grid14):

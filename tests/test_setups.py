@@ -207,6 +207,16 @@ def test_theta_fault_names_the_first_point():
     want = f"scaling symbol is {(first - 3 / 8) * (first - 3 / 8) - 1 / 64} at gamma={first};"
     with pytest.raises(ThetaNotPositive, match=f"^{re.escape(want)}"):
         oep_check(s, grid_log2=16)
+    # θ(γ) is one value on the first block [0, 1/8); θ(2γ) is not, and is
+    # −1 from the cell after γ = 3/32 on, inside that block.
+    s = setup_from_dict({
+        "N": 1, "r": 1, "psi0_hat": "chi[0,1/4]",
+        "filters": ["chi[0,1/16]", "1 - chi[0,1/16]"],
+        "theta": "1 - 2*chi[3/16,1/2]",
+    })
+    want = f"scaling symbol is -1.0 at gamma={2 * (3 / 32 + h / 2)}; it must be strictly positive"
+    with pytest.raises(ThetaNotPositive, match=f"^{re.escape(want)}$"):
+        oep_check(s, grid_log2=16)
     # θ = 1 + ∞·χ[1/4,1/2] is nan (0·∞) below 1/4, so the first cell fails,
     # as θ ≤ 0 does; nan must not pass as positive.
     s = setup_from_dict({

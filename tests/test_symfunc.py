@@ -33,6 +33,7 @@ from nuframes.symfunc import (
     count_nodes,
     dilate_arg,
     evaluate,
+    evaluate_block,
     midpoint_chunks,
     parse,
     product_of,
@@ -334,6 +335,7 @@ def test_dilate_composes():
         "i*sin(g)*(g + 2)",
         "1e200*1e200*chi[0,1/8]",
         "1e-30*g",
+        "chi[0,1e-30]",
     ],
 )
 def test_render_round_trip_structural(text):
@@ -363,7 +365,9 @@ def test_render_programmatic_nodes_eval_equal():
 _points = np.linspace(-1.5, 1.5, 17)
 
 
-def _exprs():
+def _exprs(guarded=False):
+    """Random trees; guarded ones also take sqrt and recip, which raise
+    where their argument is out of range."""
     atoms = st.one_of(
         st.builds(RationalConst, st.fractions(min_value=-8, max_value=8, max_denominator=64)),
         st.just(Var()),
@@ -378,7 +382,9 @@ def _exprs():
     )
 
     def extend(children):
+        guards = (st.builds(Sqrt, children), st.builds(PositiveReciprocal, children))
         return st.one_of(
+            *(guards if guarded else ()),
             st.builds(Sin, children),
             st.builds(Cos, children),
             st.builds(Sinc, children),
@@ -430,6 +436,69 @@ def test_dilate_property(e, s):
     # inf and nan at the same points in both.
     mag = np.max(np.abs(want[np.isfinite(want)]), initial=0.0) + 1.0
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * mag)
+
+
+def _bits(fn):
+    """fn()'s dtype and raw bytes (values, signs and nan positions), or the
+    type and message of what it raised."""
+    try:
+        v = fn()
+    except (NegativeSqrt, ThetaNotPositive) as exc:
+        return type(exc), str(exc)
+    return v.dtype, v.tobytes()
+
+
+# Where a block lies against an indicator endpoint e: offsets k, in cells,
+# of its points e + k·h.
+_PLACES = {
+    "starts on": lambda n: np.arange(n),
+    "ends on": lambda n: np.arange(1 - n, 1),
+    "straddles": lambda n: np.arange(n) - n // 2 + 0.5,
+    "lies past": lambda n: np.arange(1, n + 1),
+    "lies before": lambda n: np.arange(-n, 0),
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(e=_exprs(guarded=True), data=st.data())
+def test_block_entry_equals_evaluate(e, data):
+    """evaluate_block, broadcast to the block, is evaluate's result bit for
+    bit, or raises what evaluate raises, on blocks placed against one of
+    e's indicator endpoints; unordered blocks and a nan or inf among the
+    points included."""
+    end = float(data.draw(st.sampled_from(sorted(_indicator_ends(e)) or [F(0)])))
+    n = data.draw(st.integers(1, 33))
+    h = 2.0 ** -data.draw(st.integers(1, 8))
+    g = end + _PLACES[data.draw(st.sampled_from(sorted(_PLACES)))](n) * h
+    if data.draw(st.booleans()):
+        g = g[data.draw(st.permutations(range(n)))]
+    odd = data.draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if odd is not None:
+        g[data.draw(st.integers(0, n - 1))] = odd
+    want = _bits(lambda: evaluate(e, g))
+    got = _bits(lambda: np.broadcast_to(evaluate_block(e, g), g.shape))
+    assert got == want
+    if not isinstance(want[0], type):
+        assert evaluate_block(e, g).shape in {g.shape, (1,)}
+
+
+def test_block_entry_decides_indicators():
+    """A block on one side of each endpoint is one value; a block that
+    straddles one, or holds a nan, is evaluated point by point."""
+    block = np.array([0.25, 0.375, 0.5])
+    for text, shape in (
+        ("chi[1/4,1/2]", (1,)),
+        ("chi(1/4,1/2]", (3,)),
+        ("chi[1/4,1/2)", (3,)),
+        ("chi(0,1/4)", (1,)),
+        ("chi(1/2,1)", (1,)),
+        ("3*(1 - chi[0,1/8]) + i*abs2(conj(-chi[0,1]))", (1,)),
+        ("sin(chi[0,1])", (3,)),
+        ("g*chi[0,1]", (3,)),
+    ):
+        assert evaluate_block(parse(text), block).shape == shape, text
+    block[1] = math.nan
+    assert evaluate_block(parse("chi[0,1]"), block).shape == (3,)
 
 
 @settings(deadline=None, max_examples=200)
