@@ -59,15 +59,15 @@ CASES = {
     for setup, setup_args in _SETUPS.items()
     for fmt in ("report", "table")
 }
-CASES["levels-ex5.2-ind-default-grid"] = [
-    "levels", "--preset", "ex5.2", "--signal", _IND, "--j=-4..4",
-]
-CASES["parseval-ex5.2-ind-default-grid"] = [
-    "parseval", "--preset", "ex5.2", "--signal", _IND, "--j=-4..4",
-]
-for _command in ("validate", "oep"):
-    for _setup in ("ex5.2", "dyadic"):
-        CASES[f"{_command}-{_setup}-default-grid"] = [_command, *_SETUPS[_setup]]
+CASES.update({
+    f"{command}-ex5.2-ind-default-grid": [command, *_SETUPS["ex5.2"], "--signal", _IND, "--j=-4..4"]
+    for command in ("levels", "parseval")
+})
+CASES.update({
+    f"{command}-{setup}-default-grid": [command, *_SETUPS[setup]]
+    for command in ("validate", "oep")
+    for setup in ("ex5.2", "dyadic")
+})
 
 
 def run_case(argv, setup_path, read) -> dict:
