@@ -658,12 +658,6 @@ _GOLDEN = [
       0.0, 0.0018428257658044099, 0.6544071742534204,
       0.0, 0.0, 0.0,
      ], 0.6562500000192248, 0.65625),
-    ('ex5.2', 'ind(1/8,1/2)', 'parseval',
-     [
-      0.0, 0.0, 0.0,
-      0.0, 0.375, 0.0,
-      0.0, 0.0, 0.0,
-     ], 0.375, 0.375),
     ('ex5.1', 'sqrt(abs2(sin(3*g)))*chi(0,1/4]', 'parseval',
      [
       2.0397095769442725e-13, 1.3054041281933024e-11, 8.35356237091055e-10,
@@ -718,6 +712,12 @@ _GOLDEN = [
       0.15558272827205444, 0.08895282876502034, 0.0,
       0.0, 0.0, 0.0,
      ], 0.30576996280826674, 0.3077943736461479),
+    ('ex5.2', 'ind(1/8,1/2)', 'parseval',
+     [
+      0.0, 0.0, 0.0,
+      0.0, 0.375, 0.0,
+      0.0, 0.0, 0.0,
+     ], 0.375, 0.375),
 ]
 
 
