@@ -10,7 +10,6 @@ from .analysis import (
     DirectLevelSum,
     FrameReport,
     FrequencyGrid,
-    default_grid,
     lattice_sum_direct_detail,
     lattice_sum_parseval,
     level_profile,
@@ -70,7 +69,6 @@ __all__ = [
     "UnknownIdentifier",
     "ZeroScale",
     "catalog",
-    "default_grid",
     "derive_generator",
     "dilate_arg",
     "evaluate",

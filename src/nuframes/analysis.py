@@ -9,17 +9,18 @@ Integrands of expressions without ``i`` are evaluated in float64.
 
 Integrals evaluate only the cells that can meet the support symfunc's
 zero_outside proves for their integrand, widened by one cell on each side,
-and stream them in blocks of symfunc.BLOCK_CELLS (2^14) cells, so the
-temporaries of an evaluation stay in cache.  Every skipped cell holds an
-exact zero, and an exactly rounded sum or a max does not change when zeros
-are dropped or the cells are cut differently, so the results are the same
-bits as one array over every cell.  Where nothing is proved, every cell is
-evaluated.  The validate scans in setups skip proven zeros the same way.
-A block's integrand comes from symfunc.evaluate_block: when it is one value
-for the whole block (indicators decided on the block, constants), it enters
-the exact sum as a zero-stride view, which bins that value once and counts
-it once per cell.  Only the direct route, whose FFT needs every sample at
-once, evaluates the grid as one array, through evaluate.
+and walk them with symfunc.grid_blocks in blocks of BLOCK_CELLS (2^14)
+cells, so the temporaries of an evaluation stay in cache.  Every skipped
+cell holds an exact zero, and an exactly rounded sum or a max does not
+change when zeros are dropped or the cells are cut differently, so the
+results are the same bits as one array over every cell.  Where nothing is
+proved, every cell is evaluated.  The validate scans in setups skip proven
+zeros the same way.  A block's integrand comes from symfunc.evaluate_block:
+when it is one value for the whole block (indicators decided on the block,
+constants), it enters the exact sum as a zero-stride view, which bins that
+value once and counts it once per cell.  Only the direct route, whose FFT
+needs every sample at once, evaluates the grid as one array, through
+evaluate.
 
 The Parseval frame property is verified by two deliberately independent
 routes:
@@ -53,11 +54,10 @@ from .setups import GeneralSetup, derive_generator, uep_residual
 from .signals import SignalSpec, probe_support
 from .symfunc import (
     FreqExpr,
-    cell_chunks,
     cell_range,
     evaluate,
     evaluate_block,
-    midpoint_chunks,
+    grid_blocks,
     render,
     squared_modulus,
     zero_outside,
@@ -66,6 +66,8 @@ from .symfunc import (
 
 _POINTS_MAX_LOG2 = 22
 _SUPPORT_REACH = Fraction(4)
+# The filter-condition residual up to which telescoping_residual runs.
+_UEP_TOL = 1e-8
 
 ROUTE_PARSEVAL = "parseval"
 ROUTE_DIRECT = "direct"
@@ -105,19 +107,16 @@ class FrequencyGrid:
                 f"grid with log2_n={self.log2_n} is too large to materialize; "
                 f"the limit is log2_n={_POINTS_MAX_LOG2}"
             )
-        return next(iter(midpoint_chunks(self.a, self.b, self.log2_n, chunk=self.n)))
+        return np.concatenate([g for _, g in grid_blocks(self.a, self.b, self.log2_n)])
 
     def to_meta(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "log2_n": self.log2_n}
 
 
-def default_grid() -> FrequencyGrid:
-    """The working grid every identity integrates over: [0, 1/2], 2^20 cells."""
-    return FrequencyGrid(Fraction(0), Fraction(1, 2), 20)
-
-
 def _resolve_grid(grid: FrequencyGrid | None) -> FrequencyGrid:
-    return default_grid() if grid is None else grid
+    """grid, or the working grid every identity integrates over by default:
+    [0, 1/2], 2^20 cells."""
+    return FrequencyGrid(Fraction(0), Fraction(1, 2), 20) if grid is None else grid
 
 
 def _require_working_window(grid: FrequencyGrid):
@@ -183,14 +182,13 @@ def _stream_real_integral(fn, grid: FrequencyGrid, interval) -> float:
     takes one block of midpoints and returns its values, or one value for
     the whole block (see symfunc.evaluate_block).
 
-    One exact sum, equal to math.fsum, takes the values of every chunk, so
-    the result does not depend on the chunking.  Overflow gives inf or nan,
-    without a RuntimeWarning.
+    One exact sum, equal to math.fsum, takes the values of every block, so
+    the result does not depend on how the grid is cut.  Overflow gives inf
+    or nan, without a RuntimeWarning.
     """
-    k0, k1 = cell_range(grid.a, grid.b, grid.log2_n, interval)
 
     def values():
-        for g in cell_chunks(grid.a, grid.b, grid.log2_n, k0, k1):
+        for _, g in grid_blocks(grid.a, grid.b, grid.log2_n, interval):
             yield np.broadcast_to(fn(g), g.shape)
 
     with np.errstate(all="ignore"):
@@ -415,7 +413,6 @@ def telescoping_residual(
     setup: GeneralSetup,
     j_list,
     grid: FrequencyGrid | None = None,
-    uep_tol: float = 1e-8,
 ) -> list[tuple[int, float]]:
     """(j, |Σ_{ℓ=0}^{n} S_{j−1}(ψ̂ₗ) − S_j(ψ̂₀)|) for each j in j_list, where
     S is the identity-route level sum (ℓ = 0 term uses ψ̂₀ itself).
@@ -428,9 +425,9 @@ def telescoping_residual(
     grid = _resolve_grid(grid)
     js = [int(j) for j in j_list]
     resid = uep_residual(setup, grid.log2_n)
-    if resid > uep_tol:
+    if resid > _UEP_TOL:
         raise UepPreconditionFailed(
-            f"filter condition residual {resid:.3e} exceeds {uep_tol:.1e}; "
+            f"filter condition residual {resid:.3e} exceeds {_UEP_TOL:.1e}; "
             "the telescoping identity needs the unitary filter condition"
         )
     scaling_levels = sorted({k for j in js for k in (j - 1, j)})

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -54,7 +55,7 @@ from .setups import (
     validate_setup,
 )
 from .signals import SignalSpec, hann_bump, indicator_signal
-from .symfunc import evaluate, midpoint_chunks, parse, render
+from .symfunc import evaluate, grid_blocks, parse, render
 
 _ROUTE_TOL = {ROUTE_PARSEVAL: 1e-6, ROUTE_DIRECT: 1e-2}
 _SIGNAL_FORM = re.compile(r"(bump|ind)\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
@@ -88,11 +89,22 @@ def _add_signal_args(sp: argparse.ArgumentParser):
     sp.add_argument("--jmax", type=int, metavar="B", help="highest level")
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance option's value: a finite number ≥ 0."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not 0 <= v < math.inf:
+        raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {text!r}")
+    return v
+
+
 def _check_options(sp: argparse.ArgumentParser):
     _add_grid_arg(sp)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                     help=f"residual tolerance (default {DEFAULT_TOL})")
-    sp.add_argument("--limit-tol", type=float, default=DEFAULT_LIMIT_TOL,
+    sp.add_argument("--limit-tol", type=_tolerance, default=DEFAULT_LIMIT_TOL,
                     help=f"0+ limit tolerance (default {DEFAULT_LIMIT_TOL})")
 
 
@@ -108,7 +120,7 @@ def _parseval_options(sp: argparse.ArgumentParser):
     sp.add_argument("--M", type=int, default=2048, metavar="M",
                     help="direct-route translation window |m| <= M (default 2048)")
     _add_grid_arg(sp)
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_tolerance, default=None,
                     help="relative tolerance on total vs ||f||^2 "
                          "(default 1e-6 parseval route, 1e-2 direct route)")
 
@@ -116,7 +128,7 @@ def _parseval_options(sp: argparse.ArgumentParser):
 def _telescope_options(sp: argparse.ArgumentParser):
     _add_signal_args(sp)
     _add_grid_arg(sp)
-    sp.add_argument("--tol", type=float, default=1e-8,
+    sp.add_argument("--tol", type=_tolerance, default=1e-8,
                     help="residual tolerance relative to ||f||^2 (default 1e-8)")
 
 
@@ -271,8 +283,9 @@ def _cmd_generators(setup, args):
         raise ValueError(
             f"sample-log2 must be in [2, 12], got {args.sample_log2}"
         )
-    g = next(iter(midpoint_chunks(0, Fraction(1, 2), args.sample_log2,
-                                  chunk=1 << args.sample_log2)))
+    g = np.concatenate(
+        [g for _, g in grid_blocks(0, Fraction(1, 2), args.sample_log2)]
+    )
     gens = []
     for ell in range(1, setup.n + 1):
         e = derive_generator(setup, ell)

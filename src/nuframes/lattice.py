@@ -2,8 +2,8 @@
 
 A translation set is the union of the even integers and their shift by the
 rational offset r/N.  Together with dilation by 2N it is the index set for
-all frame systems in this package.  Elements are kept as exact rationals so
-membership and enumeration never suffer float rounding.
+all frame systems in this package.  The offset r/N is kept as an exact
+rational.
 """
 
 from __future__ import annotations
@@ -46,36 +46,3 @@ class TranslationSet:
     def dilation(self) -> int:
         """The dilation factor 2N paired with Λ."""
         return 2 * self.N
-
-    def enumerate(self, m_min: int, m_max: int) -> list[Fraction]:
-        """All elements 2m and r/N + 2m for m in [m_min, m_max], ascending.
-
-        Since 0 < r/N < 2, consecutive pairs interleave as
-        2m < 2m + r/N < 2(m+1), so the natural order is already sorted.
-        Returns 2·(m_max − m_min + 1) exact rationals.
-        """
-        if m_max < m_min:
-            raise ValueError(f"empty window: m_min={m_min} > m_max={m_max}")
-        off = self.offset
-        out: list[Fraction] = []
-        for m in range(m_min, m_max + 1):
-            out.append(Fraction(2 * m))
-            out.append(off + 2 * m)
-        return out
-
-    def contains(self, x: Fraction | int) -> bool:
-        """Exact membership: x ∈ 2ℤ or x − r/N ∈ 2ℤ."""
-        x = Fraction(x)
-        if x.denominator == 1 and x.numerator % 2 == 0:
-            return True
-        d = x - self.offset
-        return d.denominator == 1 and d.numerator % 2 == 0
-
-    def is_group(self) -> bool:
-        """Λ is closed under addition iff N = 1 (then Λ = ℤ).
-
-        For N ≥ 2: r/N + r/N = 2r/N would have to be an element, but
-        2r/N ∈ 2ℤ needs N | r (impossible, coprime with N ≥ 2) and
-        2r/N − r/N = r/N ∈ 2ℤ is impossible for 0 < r/N < 2.
-        """
-        return self.N == 1

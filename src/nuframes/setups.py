@@ -32,12 +32,11 @@ from .symfunc import (
     Product,
     RationalConst,
     Sqrt,
-    cell_chunks,
     cell_range,
     dilate_arg,
     evaluate,
     evaluate_block,
-    midpoint_chunks,
+    grid_blocks,
     product_of,
     squared_modulus,
     zero_outside,
@@ -163,11 +162,17 @@ def _hull(*ivs):
     return min(a for a, _ in ivs), max(b for _, b in ivs)
 
 
-def _limit_deviation(e: FreqExpr) -> float:
-    """max |e(2^(−k)) − 1| over the dyadic probe k = 12…40."""
+def _limit_deviation(e: FreqExpr, name: str) -> float:
+    """max |e(2^(−k)) − 1| over the dyadic probe k = 12…40; an inf or nan
+    raises ValueError that calls e by name (see _sup)."""
     probes = np.array([2.0**-k for k in _LIMIT_PROBE_KS])
-    v = evaluate(e, probes)
-    return float(np.max(np.abs(v - 1.0)))
+    return _sup(0.0, evaluate(e, probes) - 1.0, f"0+ limit deviation of {name}")
+
+
+def _check_grid_log2(grid_log2: int):
+    """Every scan takes a grid of 2^10 to 2^26 cells, as the CLI does."""
+    if not 10 <= grid_log2 <= 26:
+        raise ValueError(f"grid_log2 must be at least 10 and at most 26, got {grid_log2}")
 
 
 @np.errstate(all="ignore")
@@ -188,13 +193,13 @@ def _filter_scan(
     elsewhere, and adding +0 to a sum of squares changes no bit.  θ is
     evaluated, checked and multiplied in on every cell, at γ and at 2Nγ.
     """
+    _check_grid_log2(grid_log2)
     d = float(ts.dilation)
     half = Fraction(1, 2)
     ranges = [cell_range(0, half, grid_log2, zero_outside(h, 0, half)) for h in filters]
     uep = oep = 0.0
     tmin = math.inf
-    s = 0  # first cell of the block
-    for g in midpoint_chunks(0, half, grid_log2):
+    for s, g in grid_blocks(0, half, grid_log2):
         if theta is not None:
             t, w = _theta_values(theta, g, d)
             tmin = min(tmin, float(np.min(t)), float(np.min(w)))
@@ -214,7 +219,6 @@ def _filter_scan(
             uep = _sup(uep, u - 1.0, "filter condition residual")
             if theta is not None:
                 oep = _sup(oep, w - t, "weighted filter condition residual")
-        s += len(g)
     return (uep, None, None) if theta is None else (uep, oep, tmin)
 
 
@@ -232,7 +236,7 @@ def oep_check(s: GeneralSetup, grid_log2: int = 20) -> OepReport:
     if s.theta is None:
         raise ThetaMissing("setup has no scaling symbol")
     _, residual, tmin = _filter_scan(s.ts, s.filters, s.theta, grid_log2)
-    return OepReport(residual, tmin, _limit_deviation(s.theta))
+    return OepReport(residual, tmin, _limit_deviation(s.theta, "theta"))
 
 
 @np.errstate(all="ignore")
@@ -247,15 +251,14 @@ def validate_setup(
     The filter condition passes when either the plain residual or (with a
     scaling symbol present) the θ-weighted residual is within tol.
 
-    Every scan streams its grid in blocks and evaluates an expression only
-    on the cells that can meet the support zero_outside proves for it; the
-    other cells hold exact zeros, which change no sup, so each residual is
-    the same bits as a scan of every cell in one array.  Values come from
-    symfunc.evaluate_block, so one that is the same on a whole block (a
-    decided indicator, θ ≡ 1) is one element that broadcasts.
+    Every scan walks its grid with symfunc.grid_blocks and evaluates an
+    expression only on the cells that can meet the support zero_outside
+    proves for it; the other cells hold exact zeros, which change no sup,
+    so each residual is the same bits as a scan of every cell in one array.
+    Values come from symfunc.evaluate_block, so one that is the same on a
+    whole block (a decided indicator, θ ≡ 1) is one element that broadcasts.
     """
-    if grid_log2 < 10:
-        raise ValueError(f"grid_log2 must be at least 10, got {grid_log2}")
+    _check_grid_log2(grid_log2)
     N = s.ts.N
     quarter = Fraction(1, 4 * N)
 
@@ -265,8 +268,7 @@ def validate_setup(
     d = float(s.ts.dilation)
     lhs_iv = zero_outside_scaled(s.psi0_hat, d, 0, quarter)
     rhs_iv = zero_outside(Product((s.filters[0], s.psi0_hat)), 0, quarter)
-    k0, k1 = cell_range(0, quarter, grid_log2, _hull(lhs_iv, rhs_iv))
-    for g in cell_chunks(0, quarter, grid_log2, k0, k1):
+    for _, g in grid_blocks(0, quarter, grid_log2, _hull(lhs_iv, rhs_iv)):
         lhs = evaluate_block(s.psi0_hat, d * g)
         rhs = evaluate_block(s.filters[0], g) * evaluate_block(s.psi0_hat, g)
         refinement = _sup(refinement, lhs - rhs, "refinement residual")
@@ -275,13 +277,12 @@ def validate_setup(
     # hold exact zeros, which cannot raise the max.
     leak = 0.0
     for a, b in ((quarter, SUPPORT_SCAN_REACH), (-SUPPORT_SCAN_REACH, Fraction(0))):
-        k0, k1 = cell_range(a, b, grid_log2, zero_outside(s.psi0_hat, a, b))
-        for g in cell_chunks(a, b, grid_log2, k0, k1):
+        for _, g in grid_blocks(a, b, grid_log2, zero_outside(s.psi0_hat, a, b)):
             leak = _sup(leak, evaluate_block(s.psi0_hat, g), "support leak")
 
-    limit_dev = _limit_deviation(s.psi0_hat)
+    limit_dev = _limit_deviation(s.psi0_hat, "psi0_hat")
     uep, oep, theta_min = _filter_scan(s.ts, s.filters, s.theta, grid_log2)
-    theta_limit = None if s.theta is None else _limit_deviation(s.theta)
+    theta_limit = None if s.theta is None else _limit_deviation(s.theta, "theta")
 
     checks = {
         "refinement": refinement <= tol,

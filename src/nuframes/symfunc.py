@@ -63,9 +63,6 @@ class FreqExpr:
 
     __slots__ = ()
 
-    def __call__(self, gamma):
-        return evaluate(self, gamma)
-
 
 @dataclass(frozen=True, slots=True)
 class RationalConst(FreqExpr):
@@ -537,31 +534,25 @@ def _dilate(e: FreqExpr, s: Fraction) -> FreqExpr:
 BLOCK_CELLS = 1 << 14
 
 
-def midpoint_chunks(a, b, log2_n: int, chunk: int | None = None):
-    """Yield the midpoints of the regular 2^log2_n grid on [a, b] in blocks
-    of chunk cells, BLOCK_CELLS by default.
+def grid_blocks(a, b, log2_n: int, interval=None):
+    """Yield (k, g) over the cells of the regular 2^log2_n grid on [a, b]
+    that cell_range keeps for interval (every cell when it is None), in
+    blocks of BLOCK_CELLS cells: k is the block's first cell and g holds
+    its midpoints a + (k + 1/2)·h, h = (b − a)/2^log2_n, ascending.
 
-    Midpoints are a + (k + 1/2)·h with h = (b − a)/2^log2_n, ascending.
-    For dyadic a, b the values are exact float64.
+    Each midpoint is the same float however the grid is cut; for dyadic
+    a, b the values are exact float64.
     """
-    return cell_chunks(a, b, log2_n, 0, 1 << log2_n, chunk)
-
-
-def cell_chunks(a, b, log2_n: int, k0: int, k1: int, chunk: int | None = None):
-    """Yield the midpoints of cells k0 ≤ k < k1 of the grid of
-    midpoint_chunks(a, b, log2_n) in blocks of chunk cells (BLOCK_CELLS by
-    default), each the same float that midpoint_chunks yields for that
-    cell."""
-    chunk = BLOCK_CELLS if chunk is None else chunk
+    k0, k1 = cell_range(a, b, log2_n, interval)
     h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
     a_f = float(a)
-    for s in range(k0, k1, chunk):
-        k = np.arange(s, min(s + chunk, k1), dtype=np.float64)
-        yield a_f + (k + 0.5) * h
+    for k in range(k0, k1, BLOCK_CELLS):
+        cells = np.arange(k, min(k + BLOCK_CELLS, k1), dtype=np.float64)
+        yield k, a_f + (cells + 0.5) * h
 
 
 def cell_range(a, b, log2_n: int, interval) -> tuple[int, int]:
-    """Cells [k0, k1) of the grid of midpoint_chunks(a, b, log2_n) whose
+    """Cells [k0, k1) of the regular 2^log2_n grid on [a, b] whose
     exact midpoints lie in the closed interval, widened by one cell on each
     side; every cell when interval is None, none when it is empty.
 

@@ -45,7 +45,7 @@ from nuframes.symfunc import (
     Sinc,
     Sum,
     Var,
-    midpoint_chunks,
+    grid_blocks,
 )
 
 
@@ -211,7 +211,7 @@ def test_criterion_7_weighted_condition_tools():
     theta = parse("1 + abs2(sin(g))")
     tg = two_generator_setup(s.psi0_hat, s.filters[0], theta, ts, grid_log2=14)
     oracle = 0.0
-    for g in midpoint_chunks(0, F(1, 2), 14):
+    for _, g in grid_blocks(0, F(1, 2), 14):
         h0 = np.abs(evaluate(s.filters[0], g)) ** 2
         t4 = 1.0 + np.sin(4.0 * g) ** 2
         oracle = max(oracle, float(np.max(2.0 * t4 * h0)))

@@ -12,7 +12,6 @@ from nuframes import (
     SignalSpec,
     TranslationSet,
     catalog,
-    default_grid,
     derive_generator,
     evaluate,
     hann_bump,
@@ -28,7 +27,7 @@ from nuframes import (
     validate_setup,
 )
 from nuframes import symfunc
-from nuframes.analysis import _coset_sq, _exact_sum, _half_line_support
+from nuframes.analysis import _coset_sq, _exact_sum, _half_line_support, _resolve_grid
 from nuframes.errors import (
     NegativeSqrt,
     SupportViolation,
@@ -42,7 +41,6 @@ from nuframes.symfunc import (
     RealConst,
     Scale,
     dilate_arg,
-    midpoint_chunks,
     product_of,
     zero_outside,
 )
@@ -160,8 +158,10 @@ def test_grid_points_cap():
 
 
 def test_default_grid():
-    g = default_grid()
+    """Without a grid, the integrals take the 2^20 midpoints of [0, 1/2]."""
+    g = _resolve_grid(None)
     assert (g.a, g.b, g.log2_n) == (F(0), F(1, 2), 20)
+    assert np.array_equal(g.points(), (np.arange(1 << 20) + 0.5) / (1 << 21))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_coset_kernel_matches_per_coefficient_quadrature(ex51, ts):
 def test_coefficient_against_antiderivative():
     """Closed forms for the indicator χ(1/8, 1/2] on the even coset:
     c₀ = 3/8 and c₂ = −(1 + i)/(4π)."""
-    grid = default_grid()
+    grid = FrequencyGrid(F(0), F(1, 2), 20)
     g, h = grid.points(), grid.h
     even = _coset_sq(np.conj(evaluate(parse("chi(1/8,1/2]"), g)), 1, h)
     assert even[1] == 0.140625
@@ -221,7 +221,7 @@ def test_coefficient_against_antiderivative():
 def test_coefficient_offset_element():
     """A fractional translation is the same transform of the phase-shifted
     integrand; its m = 0 entry is c at λ = r/N = 3/2."""
-    grid = default_grid()
+    grid = FrequencyGrid(F(0), F(1, 2), 20)
     g, h = grid.points(), grid.h
     integrand = np.conj(evaluate(parse("chi(1/8,1/2]"), g))
     lam = float(TS.offset)
@@ -317,7 +317,7 @@ def test_working_window_enforced(grid14):
 def _full_grid_level_sum(f_hat, g_hat, ts, j, grid):
     """The identity-route sum over every cell of the grid: one fsum."""
     scale = float(ts.dilation) ** j
-    g = np.concatenate(list(midpoint_chunks(grid.a, grid.b, grid.log2_n)))
+    g = grid.points()
     u = evaluate(f_hat, scale * g) * evaluate(g_hat, g)
     return math.fsum(scale * (u.real * u.real + u.imag * u.imag)) * grid.h
 
@@ -395,7 +395,7 @@ def test_integrals_on_two_chunks_take_one_fsum(ex52):
     keeps."""
     grid = FrequencyGrid(F(0), F(1, 2), 21)
     sig = hann_bump(F(3, 16), F(5, 16))
-    g = np.concatenate(list(midpoint_chunks(F(3, 16), F(5, 16), 21)))
+    g = FrequencyGrid(F(3, 16), F(5, 16), 21).points()
     v = evaluate(sig.fhat, g)
     want = math.fsum(v.real * v.real + v.imag * v.imag) * float(F(1, 8) / (1 << 21))
     assert norm_sq(sig.fhat, sig.support, grid) == want
@@ -438,7 +438,7 @@ def test_norm_sq_far_from_zero_keeps_every_cell():
     while the exact midpoints mostly lie below them."""
     a, b = F(1000), F(1000) + F(1, 1 << 45)
     f = parse(f"chi[{a + F(1, 1 << 47)},{b}]")
-    g = np.concatenate(list(midpoint_chunks(a, b, 10)))
+    g = FrequencyGrid(a, b, 10).points()
     v = evaluate(f, g)
     want = math.fsum(v.real * v.real) * float((b - a) / 1024)
     assert want > 0.0

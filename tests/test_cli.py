@@ -245,6 +245,38 @@ def test_non_finite_residual_is_named(capsys, tmp_path, filters, check):
     assert f"the {check} is nan: a value overflows a float" in err
 
 
+_SPIKE = "chi[1/1073741824,1/536870912]*1e200*1e200"
+
+
+@pytest.mark.parametrize("command, name", [("validate", "psi0_hat"), ("oep", "theta")])
+def test_non_finite_limit_deviation_is_named(capsys, tmp_path, command, name):
+    """A spike inside the 0+ probe but inside one grid cell overflows only
+    the limit deviation; it is named, not written as Infinity."""
+    p = tmp_path / "setup.json"
+    p.write_text(json.dumps({
+        "N": 2, "r": 3, "psi0_hat": f"chi[0,1/8] + {_SPIKE}",
+        "filters": ["chi[0,1/32]", "1 - chi[0,1/32]"], "theta": f"1 + {_SPIKE}",
+    }))
+    code, out, err = run(capsys, command, "--setup", str(p))
+    assert code == 2
+    assert out == ""
+    assert f"the 0+ limit deviation of {name} is inf: a value overflows a float" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--tol"], ["validate", "--limit-tol"], ["oep", "--tol"],
+    ["oep", "--limit-tol"], ["parseval", "--signal", "ind(1/8,1/2)", "--tol"],
+    ["telescope", "--signal", "ind(1/8,1/2)", "--tol"],
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "x"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--preset", "ex5.2", *argv[1:-1], f"{argv[-1]}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-1]}: expects a finite number >= 0, got '{value}'" in err
+
+
 def test_constant_out_of_float_range_is_rejected(capsys):
     code, _, err = run(
         capsys, "parseval", "--preset", "ex5.2", "--signal", "1e400*chi(0,1/4]",

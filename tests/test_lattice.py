@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from nuframes import TranslationSet
 
@@ -38,74 +37,3 @@ def test_valid_parameters(N, r):
     assert ts.offset == Fraction(r, N)
     assert ts.dilation == 2 * N
     assert 0 < ts.offset < 2
-
-
-def test_enumerate_interleaves_cosets():
-    ts = TranslationSet(2, 3)
-    got = ts.enumerate(-2, 2)
-    assert got == [
-        Fraction(-4), Fraction(-5, 2),
-        Fraction(-2), Fraction(-1, 2),
-        Fraction(0), Fraction(3, 2),
-        Fraction(2), Fraction(7, 2),
-        Fraction(4), Fraction(11, 2),
-    ]
-    assert all(isinstance(x, Fraction) for x in got)
-
-
-def test_enumerate_empty_window():
-    with pytest.raises(ValueError, match="empty window"):
-        TranslationSet(2, 3).enumerate(1, 0)
-
-
-def test_contains():
-    ts = TranslationSet(2, 3)
-    assert ts.contains(0)
-    assert ts.contains(-6)
-    assert ts.contains(Fraction(3, 2))
-    assert ts.contains(Fraction(3, 2) + 8)
-    assert not ts.contains(1)
-    assert not ts.contains(Fraction(1, 2))
-    assert not ts.contains(Fraction(3, 4))
-
-
-def test_group_iff_unit_N():
-    assert TranslationSet(1, 1).is_group()
-    for N, r in [(2, 1), (2, 3), (3, 2 * 3 - 1), (5, 3)]:
-        ts = TranslationSet(N, r)
-        assert not ts.is_group()
-        # witness: offset + offset leaves the set
-        assert not ts.contains(ts.offset + ts.offset)
-
-
-def _valid_pairs(max_N=30):
-    from math import gcd
-
-    return [
-        (N, r)
-        for N in range(1, max_N + 1)
-        for r in range(1, 2 * N, 2)
-        if gcd(r, N) == 1
-    ]
-
-
-@given(
-    pair=st.sampled_from(_valid_pairs()),
-    m_min=st.integers(-40, 40),
-    width=st.integers(0, 30),
-)
-def test_enumerate_properties(pair, m_min, width):
-    ts = TranslationSet(*pair)
-    got = ts.enumerate(m_min, m_min + width)
-    assert len(got) == 2 * (width + 1)
-    assert all(a < b for a, b in zip(got, got[1:]))
-    assert all(ts.contains(x) for x in got)
-
-
-@given(pair=st.sampled_from(_valid_pairs()))
-def test_closure_brute_force(pair):
-    """Pairwise sums of a window stay in the set exactly when N = 1."""
-    ts = TranslationSet(*pair)
-    window = ts.enumerate(-3, 3)
-    closed = all(ts.contains(x + y) for x in window for y in window)
-    assert closed == ts.is_group() == (ts.N == 1)

@@ -20,7 +20,7 @@ from nuframes import (
 )
 from nuframes.errors import ThetaMissing, ThetaNotPositive
 from nuframes.setups import DEFAULT_LIMIT_TOL, DEFAULT_TOL
-from nuframes.symfunc import midpoint_chunks, squared_modulus
+from nuframes.symfunc import grid_blocks, squared_modulus
 
 
 def test_setup_needs_two_filters():
@@ -78,15 +78,14 @@ def test_support_leak_equals_full_grid_oracle(ex52, psi0):
     s = GeneralSetup(ex52.ts, parse(psi0), ex52.filters)
     want = 0.0
     for a, b in ((F(1, 8), F(4)), (F(-4), F(0))):
-        for g in midpoint_chunks(a, b, 12):
+        for _, g in grid_blocks(a, b, 12):
             want = max(want, float(np.max(np.abs(evaluate(s.psi0_hat, g)))))
     assert validate_setup(s, grid_log2=12).support_leak == want
 
 
 def _whole(a, b, log2):
     """Every midpoint of the grid as one array."""
-    (g,) = midpoint_chunks(a, b, log2, chunk=1 << log2)
-    return g
+    return np.concatenate([g for _, g in grid_blocks(a, b, log2)])
 
 
 def _sup_abs(v):
@@ -242,6 +241,17 @@ def test_validate_rejects_tiny_grid(ex51):
         validate_setup(ex51, grid_log2=9)
 
 
+@pytest.mark.parametrize("log2", [-1, 0, 9, 27])
+@pytest.mark.parametrize("check", [
+    validate_setup, uep_residual, oep_check, oep_normalize,
+    lambda s, log2: two_generator_setup(s.psi0_hat, s.filters[0], s.theta, s.ts, log2),
+], ids=["validate_setup", "uep_residual", "oep_check", "oep_normalize",
+        "two_generator_setup"])
+def test_every_scan_takes_the_cli_grid_range(ex52, check, log2):
+    with pytest.raises(ValueError, match=f"at least 10 and at most 26, got {log2}$"):
+        check(ex52, log2)
+
+
 def test_trivial_weight_degenerates_exactly(ex52):
     """With the weight identically 1 the weighted residual is the plain one,
     bit for bit (same accumulation order)."""
@@ -261,7 +271,7 @@ def test_weighted_residual_matches_grid_oracle(ex52):
     s = setup_from_dict(WEIGHT_TWO)
     log2 = 14
     worst = 0.0
-    for g in midpoint_chunks(0, F(1, 2), log2):
+    for _, g in grid_blocks(0, F(1, 2), log2):
         h0 = np.abs(evaluate(s.filters[0], g)) ** 2
         h1 = np.abs(evaluate(s.filters[1], g)) ** 2
         worst = max(worst, float(np.max(np.abs(2.0 * h0 + h1 - 2.0))))
@@ -425,7 +435,7 @@ def test_two_filter_completion_residual_equals_oracle(ex52):
     tg2 = two_generator_setup(ex52.psi0_hat, ex52.filters[0], theta, ts, grid_log2=12)
     log2 = 12
     worst = 0.0
-    for g in midpoint_chunks(0, F(1, 2), log2):
+    for _, g in grid_blocks(0, F(1, 2), log2):
         h0 = np.abs(evaluate(ex52.filters[0], g)) ** 2
         t4 = 1.0 + np.sin(4.0 * g) ** 2
         worst = max(worst, float(np.max(2.0 * t4 * h0)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nuframes import symfunc
 from nuframes.errors import (
     BadIndicatorBounds,
     ExprSyntaxError,
@@ -30,11 +31,12 @@ from nuframes.symfunc import (
     Sqrt,
     Sum,
     Var,
+    cell_range,
     count_nodes,
     dilate_arg,
     evaluate,
     evaluate_block,
-    midpoint_chunks,
+    grid_blocks,
     parse,
     product_of,
     render,
@@ -230,11 +232,6 @@ def test_eval_vectorized_matches_scalar():
     vec = evaluate(e, pts)
     for x, v in zip(pts, vec):
         assert evaluate(e, float(x)) == v
-
-
-def test_expressions_are_callable():
-    e = parse("2*g")
-    assert e(0.5) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +511,7 @@ def test_zero_outside_is_exact(e, lo, width, log2_n):
     iv = zero_outside(e, lo, lo + width)
     if iv is None:
         return
-    (g,) = list(midpoint_chunks(lo, lo + width, log2_n))
+    ((_, g),) = grid_blocks(lo, lo + width, log2_n)
     v = evaluate(e, g)
     assert np.all(np.isfinite(v))
     outside = np.array([x < iv[0] or x > iv[1] for x in g.tolist()])
@@ -549,7 +546,8 @@ def test_zero_outside_rules():
 
 
 def test_midpoint_chunks_exact_dyadic():
-    (pts,) = list(midpoint_chunks(0, F(1, 2), 10))
+    ((k, pts),) = grid_blocks(0, F(1, 2), 10)
+    assert k == 0
     assert len(pts) == 1024
     h = 0.5 / 1024
     assert pts[0] == 0.5 * h
@@ -557,8 +555,29 @@ def test_midpoint_chunks_exact_dyadic():
     assert np.all(np.diff(pts) > 0)
 
 
-def test_midpoint_chunks_blocks_concatenate():
-    whole = np.concatenate(list(midpoint_chunks(F(-1), F(3), 10, chunk=100)))
-    (one,) = list(midpoint_chunks(F(-1), F(3), 10))
+def test_midpoint_chunks_blocks_concatenate(monkeypatch):
+    """grid_blocks cuts the grid at BLOCK_CELLS, read when it is called;
+    the midpoints are the same floats however it cuts."""
+    ((_, one),) = grid_blocks(F(-1), F(3), 10)
+    monkeypatch.setattr(symfunc, "BLOCK_CELLS", 100)
+    blocks = list(grid_blocks(F(-1), F(3), 10))
+    assert [k for k, _ in blocks] == list(range(0, 1024, 100))
+    whole = np.concatenate([g for _, g in blocks])
     assert np.array_equal(whole, one)
     assert len(whole) == 1024
+
+
+@pytest.mark.parametrize("interval", [
+    None, (F(1, 4), F(1, 2)), (F(-5), F(-1)), (F(0), F(0)), (F(1), F(0)),
+])
+def test_grid_blocks_walk_the_cell_range(monkeypatch, interval):
+    """Only the cells cell_range keeps are walked, each block starting at
+    its first cell k with the midpoints of the whole grid."""
+    ((_, whole),) = grid_blocks(F(-1), F(3), 10)
+    monkeypatch.setattr(symfunc, "BLOCK_CELLS", 64)
+    k0, k1 = cell_range(F(-1), F(3), 10, interval)
+    cells = []
+    for k, g in grid_blocks(F(-1), F(3), 10, interval):
+        assert np.array_equal(g, whole[k : k + len(g)])
+        cells.extend(range(k, k + len(g)))
+    assert cells == list(range(k0, k1))
