@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import SupportViolation, TruncationGuard, UepPreconditionFailed
 from .lattice import TranslationSet
-from .setups import GeneralSetup, derive_generator, uep_residual
+from .setups import GeneralSetup, check_grid_log2, derive_generator, uep_residual
 from .signals import SignalSpec, probe_support
 from .symfunc import (
     FreqExpr,
@@ -88,8 +88,7 @@ class FrequencyGrid:
         object.__setattr__(self, "b", Fraction(self.b))
         if not self.a < self.b:
             raise ValueError(f"grid needs a < b, got [{self.a}, {self.b}]")
-        if not 10 <= self.log2_n <= 26:
-            raise ValueError(f"log2_n must be in [10, 26], got {self.log2_n}")
+        check_grid_log2(self.log2_n)
 
     @property
     def n(self) -> int:

@@ -169,8 +169,8 @@ def _limit_deviation(e: FreqExpr, name: str) -> float:
     return _sup(0.0, evaluate(e, probes) - 1.0, f"0+ limit deviation of {name}")
 
 
-def _check_grid_log2(grid_log2: int):
-    """Every scan takes a grid of 2^10 to 2^26 cells, as the CLI does."""
+def check_grid_log2(grid_log2: int):
+    """Every grid has 2^10 to 2^26 cells: the scans here and FrequencyGrid."""
     if not 10 <= grid_log2 <= 26:
         raise ValueError(f"grid_log2 must be at least 10 and at most 26, got {grid_log2}")
 
@@ -188,12 +188,13 @@ def _filter_scan(
     without θ, and without filters only θ is checked.  Both sums run in
     ascending ℓ, so with θ ≡ 1 they agree bit for bit.
 
-    Each filter is evaluated only on the cells that can meet the support
-    zero_outside proves for it on [0, 1/2]; its |Hₗ|² is exactly +0
-    elsewhere, and adding +0 to a sum of squares changes no bit.  θ is
-    evaluated, checked and multiplied in on every cell, at γ and at 2Nγ.
+    Each filter is evaluated only on the blocks that meet the cells that
+    can meet the support zero_outside proves for it on [0, 1/2]; elsewhere
+    its |Hₗ|² is exactly +0, which changes no bit of a sum of squares.  θ is
+    evaluated on every block, at γ and at 2Nγ.  The sums broadcast, so one
+    that is the same on a whole block stays one element.
     """
-    _check_grid_log2(grid_log2)
+    check_grid_log2(grid_log2)
     d = float(ts.dilation)
     half = Fraction(1, 2)
     ranges = [cell_range(0, half, grid_log2, zero_outside(h, 0, half)) for h in filters]
@@ -204,18 +205,12 @@ def _filter_scan(
             t, w = _theta_values(theta, g, d)
             tmin = min(tmin, float(np.min(t)), float(np.min(w)))
         if filters:
-            u = np.zeros(len(g))
+            u = 0.0
             for ell, (h, (k0, k1)) in enumerate(zip(filters, ranges)):
-                i0, i1 = max(k0 - s, 0), min(k1 - s, len(g))
-                if i0 < i1:
-                    a = squared_modulus(evaluate_block(h, g[i0:i1]))
-                    u[i0:i1] += a
-                    if theta is not None and ell > 0:
-                        w[i0:i1] += a
-                if theta is not None and ell == 0:
-                    # in place when w holds the block, so the scan holds no
-                    # extra block; a w that is one value makes a fresh one
-                    w = w * u if w.size < u.size else np.multiply(w, u, out=w)
+                a = squared_modulus(evaluate_block(h, g)) if k0 < s + len(g) and s < k1 else 0.0
+                u = u + a
+                if theta is not None:
+                    w = w * a if ell == 0 else w + a
             uep = _sup(uep, u - 1.0, "filter condition residual")
             if theta is not None:
                 oep = _sup(oep, w - t, "weighted filter condition residual")
@@ -252,13 +247,14 @@ def validate_setup(
     scaling symbol present) the θ-weighted residual is within tol.
 
     Every scan walks its grid with symfunc.grid_blocks and evaluates an
-    expression only on the cells that can meet the support zero_outside
-    proves for it; the other cells hold exact zeros, which change no sup,
-    so each residual is the same bits as a scan of every cell in one array.
-    Values come from symfunc.evaluate_block, so one that is the same on a
-    whole block (a decided indicator, θ ≡ 1) is one element that broadcasts.
+    expression only on the cells (the filter scan: the blocks) that can meet
+    the support zero_outside proves for it; the other cells hold exact
+    zeros, which change no sup, so each residual is the same bits as a scan
+    of every cell in one array.  Values come from symfunc.evaluate_block,
+    so one that is the same on a whole block (a decided indicator, θ ≡ 1)
+    is one element that broadcasts, through the filter sums as well.
     """
-    _check_grid_log2(grid_log2)
+    check_grid_log2(grid_log2)
     N = s.ts.N
     quarter = Fraction(1, 4 * N)
 

@@ -24,7 +24,7 @@ the guarded reciprocal of a strictly positive subexpression; evaluation at a
 point where the argument is not strictly positive raises ThetaNotPositive.
 
 evaluate returns one value per point.  The grid scans call evaluate_block
-on one block of points instead: it decides each indicator whose endpoints
+on an ascending block instead: it decides each indicator whose endpoints
 the block does not straddle and returns a value that is the same on every
 point of the block as one element, with the same bits.
 """
@@ -262,26 +262,22 @@ def evaluate(e: FreqExpr, gamma):
 
 
 def evaluate_block(e: FreqExpr, g: np.ndarray) -> np.ndarray:
-    """evaluate(e, g) for an array g, except that a value that is the same
-    at every point of g comes back as one element: the result has g's shape
-    or shape (1,), which broadcasts to it, with evaluate's dtype and bits.
+    """evaluate(e, g) for a nonempty, ascending, finite array g (a grid
+    block, or one times a positive level scale), except that a value that
+    is the same at every point of g comes back as one element: the result
+    has g's shape or shape (1,), which broadcasts to it, with evaluate's
+    dtype and bits.
 
-    An Indicator is decided on g from g.min() and g.max(), by the float
+    An Indicator is decided on g from its ends g[0] and g[-1], by the float
     comparisons evaluation makes, when every point lies on one side of each
-    endpoint; a nan in g decides nothing, and evaluate decides none.
-    Constants and decided indicators are one value, and so are +, −, ×,
-    negation, Scale, abs2 and conj of one-value operands.  sin, cos, sinc,
-    sqrt and recip broadcast their argument to g's shape first, so their
-    values, and the point a raised error names, are those of evaluate.  The
-    result may be g itself.
+    endpoint; evaluate decides none.  Constants and decided indicators are
+    one value, and so are +, −, ×, negation, Scale, abs2 and conj of
+    one-value operands.  sin, cos, sinc, sqrt and recip broadcast their
+    argument to g's shape first, so their values, and the point a raised
+    error names, are those of evaluate.  The result may be g itself.
     """
-    span = None
     with np.errstate(all="ignore"):
-        if g.size:
-            lo, hi = g.min(), g.max()
-            if lo == lo:  # both are nan when g holds a nan
-                span = (lo, hi)
-        return _eval(e, g, span)
+        return _eval(e, g, (g[0], g[-1]))
 
 
 def squared_modulus(v: np.ndarray) -> np.ndarray:
@@ -322,8 +318,8 @@ def _whole(e: FreqExpr, g: np.ndarray, span) -> np.ndarray:
 
 
 def _eval(e: FreqExpr, g: np.ndarray, span) -> np.ndarray:
-    """e's values on g (see evaluate_block); span is (g.min(), g.max()), or
-    None when indicators are not to be decided on the block."""
+    """e's values on g (see evaluate_block); span is (g[0], g[-1]) of an
+    ascending g, or None when indicators are not to be decided on it."""
     if isinstance(e, (RationalConst, RealConst)):
         return np.full(1, float(e.value))
     if isinstance(e, ImaginaryUnit):
@@ -590,6 +586,7 @@ _FUNCTIONS = {
     "conj": Conj,
     "recip": PositiveReciprocal,
 }
+_FUNCTION_NAMES = {node: name for name, node in _FUNCTIONS.items()}
 
 
 class _Parser:
@@ -840,20 +837,8 @@ def _render_bare(e: FreqExpr) -> str:
         return "i"
     if isinstance(e, Var):
         return "g"
-    if isinstance(e, Sin):
-        return f"sin({render(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({render(e.arg)})"
-    if isinstance(e, Sinc):
-        return f"sinc({render(e.arg)})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({render(e.arg)})"
-    if isinstance(e, Abs2):
-        return f"abs2({render(e.arg)})"
-    if isinstance(e, Conj):
-        return f"conj({render(e.arg)})"
-    if isinstance(e, PositiveReciprocal):
-        return f"recip({render(e.arg)})"
+    if type(e) in _FUNCTION_NAMES:
+        return f"{_FUNCTION_NAMES[type(e)]}({render(e.arg)})"
     if isinstance(e, Indicator):
         lb = "[" if e.lo_closed else "("
         rb = "]" if e.hi_closed else ")"

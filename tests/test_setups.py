@@ -18,6 +18,7 @@ from nuframes import (
     uep_residual,
     validate_setup,
 )
+from nuframes import setups
 from nuframes.errors import ThetaMissing, ThetaNotPositive
 from nuframes.setups import DEFAULT_LIMIT_TOL, DEFAULT_TOL
 from nuframes.symfunc import grid_blocks, squared_modulus
@@ -250,6 +251,23 @@ def test_validate_rejects_tiny_grid(ex51):
 def test_every_scan_takes_the_cli_grid_range(ex52, check, log2):
     with pytest.raises(ValueError, match=f"at least 10 and at most 26, got {log2}$"):
         check(ex52, log2)
+
+
+def test_filter_scan_keeps_one_value_blocks(ex52, monkeypatch):
+    """On ex5.2 each filter-condition sum is one value per block, so _sup
+    compares one element per block, not 2^14."""
+    shapes = []
+    sup = setups._sup
+
+    def spy(acc, v, what):
+        if what.endswith("filter condition residual"):
+            shapes.append(np.shape(v))
+        return sup(acc, v, what)
+
+    monkeypatch.setattr(setups, "_sup", spy)
+    uep_residual(ex52, 20)
+    oep_check(ex52, 20)
+    assert shapes == [(1,)] * (3 * 64)
 
 
 def test_trivial_weight_degenerates_exactly(ex52):
