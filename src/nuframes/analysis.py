@@ -9,18 +9,17 @@ Integrands of expressions without ``i`` are evaluated in float64.
 
 Integrals evaluate only the cells that can meet the support symfunc's
 zero_outside proves for their integrand, widened by one cell on each side,
-and walk them with symfunc.grid_blocks in blocks of BLOCK_CELLS (2^14)
-cells, so the temporaries of an evaluation stay in cache.  Every skipped
-cell holds an exact zero, and an exactly rounded sum or a max does not
-change when zeros are dropped or the cells are cut differently, so the
-results are the same bits as one array over every cell.  Where nothing is
-proved, every cell is evaluated.  The validate scans in setups skip proven
-zeros the same way.  A block's integrand comes from symfunc.evaluate_block:
-when it is one value for the whole block (indicators decided on the block,
-constants), it enters the exact sum as a zero-stride view, which bins that
-value once and counts it once per cell.  Only the direct route, whose FFT
-needs every sample at once, evaluates the grid as one array, through
-evaluate.
+and walk them with symfunc.grid_pieces.  Every skipped cell holds an exact
+zero, and an exactly rounded sum or a max does not change when zeros are
+dropped or the cells are cut differently, so the results are the same bits
+as one array over every cell.  Where nothing is proved, every cell is
+evaluated.  The validate scans in setups skip proven zeros the same way.
+An integrand of indicators and constants is cut where an indicator flips,
+and each piece's one value enters the exact sum as a zero-stride view,
+which bins it once and counts it once per cell, so it costs O(pieces);
+any other integrand walks blocks of BLOCK_CELLS (2^14) cells, so the
+temporaries of an evaluation stay in cache.  Only the direct route, whose
+FFT needs every sample at once, evaluates the grid as one array.
 
 The Parseval frame property is verified by two deliberately independent
 routes:
@@ -58,6 +57,7 @@ from .symfunc import (
     evaluate,
     evaluate_block,
     grid_blocks,
+    grid_pieces,
     render,
     squared_modulus,
     zero_outside,
@@ -175,20 +175,22 @@ def _exact_sum(arrays) -> float:
     return total / (1 << _UNIT_LOG2)
 
 
-def _stream_real_integral(fn, grid: FrequencyGrid, interval) -> float:
+def _stream_real_integral(fn, grid: FrequencyGrid, interval, exprs) -> float:
     """h·Σ fn(γ) over the grid cells that can meet the closed interval (every
     cell when it is None), fn real-valued and exactly zero elsewhere.  fn
-    takes one block of midpoints and returns its values, or one value for
-    the whole block (see symfunc.evaluate_block).
+    evaluates exprs, the (expression, scale) pairs of symfunc.grid_pieces,
+    on the midpoints g of one piece and returns its values, or one value
+    for the whole piece (see symfunc.evaluate_block); a two-point g that
+    is not one value raises rather than stand for the cells between.
 
-    One exact sum, equal to math.fsum, takes the values of every block, so
+    One exact sum, equal to math.fsum, takes the values of every piece, so
     the result does not depend on how the grid is cut.  Overflow gives inf
     or nan, without a RuntimeWarning.
     """
 
     def values():
-        for _, g in grid_blocks(grid.a, grid.b, grid.log2_n, interval):
-            yield np.broadcast_to(fn(g), g.shape)
+        for _, n, g in grid_pieces(grid.a, grid.b, grid.log2_n, interval, exprs):
+            yield np.broadcast_to(fn(g), n)
 
     with np.errstate(all="ignore"):
         try:
@@ -364,7 +366,8 @@ def lattice_sum_parseval(
             evaluate_block(f_hat, scale * g) * evaluate_block(g_hat, g)
         )
 
-    value = _stream_real_integral(integrand, grid, _level_support(f_hat, g_iv, scale))
+    iv = _level_support(f_hat, g_iv, scale)
+    value = _stream_real_integral(integrand, grid, iv, ((f_hat, scale), (g_hat, 1.0)))
     if not math.isfinite(value):
         raise _not_finite(f"the level-{j} sum against {render(g_hat)}", value)
     return value
@@ -401,7 +404,7 @@ def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> floa
     def integrand(g):
         return squared_modulus(evaluate_block(f_hat, g))
 
-    value = _stream_real_integral(integrand, sub, zero_outside(f_hat, a, b))
+    value = _stream_real_integral(integrand, sub, zero_outside(f_hat, a, b), ((f_hat, 1.0),))
     if not math.isfinite(value):
         raise _not_finite(f"the squared norm of the signal over [{a}, {b}]", value)
     return value

@@ -36,7 +36,7 @@ from .symfunc import (
     dilate_arg,
     evaluate,
     evaluate_block,
-    grid_blocks,
+    grid_pieces,
     product_of,
     squared_modulus,
     zero_outside,
@@ -112,16 +112,16 @@ class ConditionReport:
         return asdict(self)
 
 
-def _theta_values(theta: FreqExpr, g: np.ndarray, d: float) -> list[np.ndarray]:
-    """[θ(γ), θ(dγ)] on one block, checked real and strictly positive; each
-    has the block's shape or is one value for the block.
+def _theta_values(theta: FreqExpr, g: np.ndarray, d: float, n: int) -> list[np.ndarray]:
+    """[θ(γ), θ(dγ)] on one piece of n cells with midpoints g (see _cells),
+    checked real and strictly positive.
 
     A failure names the first cell in ascending γ, and there θ(γ) before
     θ(dγ) and realness before sign, so the message does not depend on how
-    the grid is cut into blocks.
+    the grid is cut into pieces.
     """
     xs = (g, d * g)
-    vs = [evaluate_block(theta, x) for x in xs]
+    vs = [_cells(evaluate_block(theta, x), n) for x in xs]
     # per cell, in order: θ(γ) not real, θ(γ) not > 0 (≤ 0 or nan), then
     # the same for θ(dγ)
     faults = [m for v in vs for m in (np.abs(v.imag) > 1e-12, ~(v.real > 0.0))]
@@ -142,11 +142,23 @@ def _theta_values(theta: FreqExpr, g: np.ndarray, d: float) -> list[np.ndarray]:
     return [v.real for v in vs]
 
 
-def _sup(acc: float, v: np.ndarray, what: str) -> float:
-    """max(acc, max |v|); an inf or nan in v raises ValueError naming what
-    (Python's max would drop a nan)."""
-    m = float(np.max(np.abs(v)))
+def _cells(v, n: int) -> np.ndarray:
+    """The values v of a piece of n cells: one element when they are one
+    value, else n; a two-point piece sample that is not one value raises
+    ValueError rather than stand for the cells between."""
+    v = np.broadcast_to(v, n)
+    return v[:1] if v.strides == (0,) else v
+
+
+def _sup(acc: float, v, n: int, what: str) -> float:
+    """max(acc, max |v|) over the n cells of v (see _cells).  An inf or nan
+    raises ValueError naming what and |v| at the first non-finite cell, so
+    the message does not depend on how the grid is cut (Python's max would
+    drop a nan)."""
+    a = np.abs(_cells(v, n))
+    m = float(np.max(a))
     if not math.isfinite(m):
+        m = float(a[~np.isfinite(a)][0])
         raise ValueError(f"the {what} is {m!r}: a value overflows a float")
     return max(acc, m)
 
@@ -166,7 +178,7 @@ def _limit_deviation(e: FreqExpr, name: str) -> float:
     """max |e(2^(−k)) − 1| over the dyadic probe k = 12…40; an inf or nan
     raises ValueError that calls e by name (see _sup)."""
     probes = np.array([2.0**-k for k in _LIMIT_PROBE_KS])
-    return _sup(0.0, evaluate(e, probes) - 1.0, f"0+ limit deviation of {name}")
+    return _sup(0.0, evaluate(e, probes) - 1.0, len(probes), f"0+ limit deviation of {name}")
 
 
 def check_grid_log2(grid_log2: int):
@@ -182,38 +194,40 @@ def _filter_scan(
     theta: FreqExpr | None,
     grid_log2: int,
 ) -> tuple[float, float | None, float | None]:
-    """One pass over the midpoints of [0, 1/2], block by block.  Returns
-    (uep, oep, theta_min), the sups of |Σₗ |Hₗ|² − 1| and
-    |θ(2Nγ)|H₀|² + Σ_{ℓ≥1}|Hₗ|² − θ(γ)| and min θ; the last two are None
-    without θ, and without filters only θ is checked.  Both sums run in
-    ascending ℓ, so with θ ≡ 1 they agree bit for bit.
+    """One pass over the midpoints of [0, 1/2], piece by piece (see
+    symfunc.grid_pieces).  Returns (uep, oep, theta_min), the sups of
+    |Σₗ |Hₗ|² − 1| and |θ(2Nγ)|H₀|² + Σ_{ℓ≥1}|Hₗ|² − θ(γ)| and min θ; the
+    last two are None without θ, and without filters only θ is checked.
+    Both sums run in ascending ℓ, so with θ ≡ 1 they agree bit for bit.
 
-    Each filter is evaluated only on the blocks that meet the cells that
+    Each filter is evaluated only on the pieces that meet the cells that
     can meet the support zero_outside proves for it on [0, 1/2]; elsewhere
     its |Hₗ|² is exactly +0, which changes no bit of a sum of squares.  θ is
-    evaluated on every block, at γ and at 2Nγ.  The sums broadcast, so one
-    that is the same on a whole block stays one element.
+    evaluated on every piece, at γ and at 2Nγ.  The sums broadcast, so one
+    that is the same on a whole piece stays one element: for piecewise-
+    constant filters and θ, every piece, whatever the grid size.
     """
     check_grid_log2(grid_log2)
     d = float(ts.dilation)
     half = Fraction(1, 2)
     ranges = [cell_range(0, half, grid_log2, zero_outside(h, 0, half)) for h in filters]
+    exprs = [(h, 1.0) for h in filters] + ([] if theta is None else [(theta, 1.0), (theta, d)])
     uep = oep = 0.0
     tmin = math.inf
-    for s, g in grid_blocks(0, half, grid_log2):
+    for s, n, g in grid_pieces(0, half, grid_log2, None, exprs):
         if theta is not None:
-            t, w = _theta_values(theta, g, d)
+            t, w = _theta_values(theta, g, d, n)
             tmin = min(tmin, float(np.min(t)), float(np.min(w)))
         if filters:
             u = 0.0
             for ell, (h, (k0, k1)) in enumerate(zip(filters, ranges)):
-                a = squared_modulus(evaluate_block(h, g)) if k0 < s + len(g) and s < k1 else 0.0
+                a = squared_modulus(evaluate_block(h, g)) if k0 < s + n and s < k1 else 0.0
                 u = u + a
                 if theta is not None:
                     w = w * a if ell == 0 else w + a
-            uep = _sup(uep, u - 1.0, "filter condition residual")
+            uep = _sup(uep, u - 1.0, n, "filter condition residual")
             if theta is not None:
-                oep = _sup(oep, w - t, "weighted filter condition residual")
+                oep = _sup(oep, w - t, n, "weighted filter condition residual")
     return (uep, None, None) if theta is None else (uep, oep, tmin)
 
 
@@ -246,13 +260,16 @@ def validate_setup(
     The filter condition passes when either the plain residual or (with a
     scaling symbol present) the θ-weighted residual is within tol.
 
-    Every scan walks its grid with symfunc.grid_blocks and evaluates an
-    expression only on the cells (the filter scan: the blocks) that can meet
+    Every scan walks its grid with symfunc.grid_pieces and evaluates an
+    expression only on the cells (the filter scan: the pieces) that can meet
     the support zero_outside proves for it; the other cells hold exact
     zeros, which change no sup, so each residual is the same bits as a scan
     of every cell in one array.  Values come from symfunc.evaluate_block,
-    so one that is the same on a whole block (a decided indicator, θ ≡ 1)
-    is one element that broadcasts, through the filter sums as well.
+    so one that is the same on a whole piece (a decided indicator, θ ≡ 1)
+    is one element that broadcasts, through the filter sums as well.  A
+    scan of piecewise-constant expressions only, as for every indicator
+    setup, is cut where an indicator flips and costs one evaluation per
+    piece; a fault names the first cell of the first faulty piece.
     """
     check_grid_log2(grid_log2)
     N = s.ts.N
@@ -264,17 +281,19 @@ def validate_setup(
     d = float(s.ts.dilation)
     lhs_iv = zero_outside_scaled(s.psi0_hat, d, 0, quarter)
     rhs_iv = zero_outside(Product((s.filters[0], s.psi0_hat)), 0, quarter)
-    for _, g in grid_blocks(0, quarter, grid_log2, _hull(lhs_iv, rhs_iv)):
+    exprs = ((s.psi0_hat, d), (s.filters[0], 1.0), (s.psi0_hat, 1.0))
+    for _, n, g in grid_pieces(0, quarter, grid_log2, _hull(lhs_iv, rhs_iv), exprs):
         lhs = evaluate_block(s.psi0_hat, d * g)
         rhs = evaluate_block(s.filters[0], g) * evaluate_block(s.psi0_hat, g)
-        refinement = _sup(refinement, lhs - rhs, "refinement residual")
+        refinement = _sup(refinement, lhs - rhs, n, "refinement residual")
 
     # Only cells that can meet ψ̂₀'s proven support are scanned; the others
     # hold exact zeros, which cannot raise the max.
     leak = 0.0
     for a, b in ((quarter, SUPPORT_SCAN_REACH), (-SUPPORT_SCAN_REACH, Fraction(0))):
-        for _, g in grid_blocks(a, b, grid_log2, zero_outside(s.psi0_hat, a, b)):
-            leak = _sup(leak, evaluate_block(s.psi0_hat, g), "support leak")
+        iv = zero_outside(s.psi0_hat, a, b)
+        for _, n, g in grid_pieces(a, b, grid_log2, iv, ((s.psi0_hat, 1.0),)):
+            leak = _sup(leak, evaluate_block(s.psi0_hat, g), n, "support leak")
 
     limit_dev = _limit_deviation(s.psi0_hat, "psi0_hat")
     uep, oep, theta_min = _filter_scan(s.ts, s.filters, s.theta, grid_log2)

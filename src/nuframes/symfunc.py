@@ -24,13 +24,15 @@ the guarded reciprocal of a strictly positive subexpression; evaluation at a
 point where the argument is not strictly positive raises ThetaNotPositive.
 
 evaluate returns one value per point.  The grid scans call evaluate_block
-on an ascending block instead: it decides each indicator whose endpoints
-the block does not straddle and returns a value that is the same on every
-point of the block as one element, with the same bits.
+on an ascending block, or on the two ends of a piece from grid_pieces,
+instead: it decides each indicator whose endpoints the block does not
+straddle and returns a value that is the same on every point of the block
+as one element, with the same bits.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import re
@@ -263,10 +265,10 @@ def evaluate(e: FreqExpr, gamma):
 
 def evaluate_block(e: FreqExpr, g: np.ndarray) -> np.ndarray:
     """evaluate(e, g) for a nonempty, ascending, finite array g (a grid
-    block, or one times a positive level scale), except that a value that
-    is the same at every point of g comes back as one element: the result
-    has g's shape or shape (1,), which broadcasts to it, with evaluate's
-    dtype and bits.
+    block, a piece's two ends, or one times a positive level scale), except
+    that a value that is the same at every point of g comes back as one
+    element: the result has g's shape or shape (1,), which broadcasts to
+    it, with evaluate's dtype and bits.
 
     An Indicator is decided on g from its ends g[0] and g[-1], by the float
     comparisons evaluation makes, when every point lies on one side of each
@@ -545,6 +547,60 @@ def grid_blocks(a, b, log2_n: int, interval=None):
     for k in range(k0, k1, BLOCK_CELLS):
         cells = np.arange(k, min(k + BLOCK_CELLS, k1), dtype=np.float64)
         yield k, a_f + (cells + 0.5) * h
+
+
+def grid_pieces(a, b, log2_n: int, interval, exprs):
+    """Yield (k, n, g) over the cells grid_blocks walks: n cells from cell k,
+    with g holding midpoints of them, ascending.
+
+    exprs are the (expression, s) pairs a scan evaluates at s·γ, s a
+    positive float.  When each expression is piecewise constant (constants,
+    i and indicators under +, ×, negation, Scale, abs2 and conj), the cells
+    are cut at every cell where an indicator's comparison of s·γ with an
+    endpoint flips, and g holds a piece's first and last midpoints: no
+    comparison differs between them, so evaluate_block decides every
+    indicator on g and returns one value, with the bits of each cell, for
+    the whole piece.  Each flip is found by a binary search over the cells,
+    by the float operations of grid_blocks, which make s·γ non-decreasing
+    in k.  Otherwise, or when there would be more pieces than the whole
+    grid has blocks (each piece costs an evaluation of every expression),
+    the pieces are grid_blocks' blocks, and g holds every midpoint.
+    """
+    flips = [(s, f) for e, s in exprs for f in _flips(e)]
+    if all(f is not None for _, f in flips):
+        k0, k1 = cell_range(a, b, log2_n, interval)
+        h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
+        a_f = float(a)
+        cells = range(k0, k1)
+        cuts = {k0, k1}
+        for s, (search, x) in flips:
+            cuts.add(k0 + search(cells, x, key=lambda k: s * (a_f + (k + 0.5) * h)))
+        cuts = sorted(cuts)
+        if len(cuts) - 1 <= math.ceil((1 << log2_n) / BLOCK_CELLS):
+            for k, end in zip(cuts, cuts[1:]):
+                yield k, end - k, a_f + (np.array([k, end - 1], dtype=np.float64) + 0.5) * h
+            return
+    for k, g in grid_blocks(a, b, log2_n, interval):
+        yield k, len(g), g
+
+
+def _flips(e: FreqExpr):
+    """(search, x) for each comparison of an Indicator in e with its float
+    endpoint x: search is the bisect function that finds the first
+    ascending point where the comparison flips.  A None stands for each
+    part of e that is not piecewise constant."""
+    if isinstance(e, Indicator):
+        return [
+            (bisect.bisect_left if e.lo_closed else bisect.bisect_right, float(e.lo)),
+            (bisect.bisect_right if e.hi_closed else bisect.bisect_left, float(e.hi)),
+        ]
+    if isinstance(e, (RationalConst, RealConst, ImaginaryUnit)):
+        return []
+    if isinstance(e, (Negate, Scale, Abs2, Conj)):
+        return _flips(e.arg)
+    if isinstance(e, (Sum, Product)):
+        return [f for p in (e.terms if isinstance(e, Sum) else e.factors) for f in _flips(p)]
+    return [None]
 
 
 def cell_range(a, b, log2_n: int, interval) -> tuple[int, int]:

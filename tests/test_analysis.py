@@ -26,7 +26,7 @@ from nuframes import (
     telescoping_residual,
     validate_setup,
 )
-from nuframes import symfunc
+from nuframes import analysis, setups, symfunc
 from nuframes.analysis import _coset_sq, _exact_sum, _half_line_support, _resolve_grid
 from nuframes.errors import (
     NegativeSqrt,
@@ -630,6 +630,28 @@ def test_block_size_changes_no_report(monkeypatch, ex51, ex52, block):
     want = reports()
     monkeypatch.setattr(symfunc, "BLOCK_CELLS", block)
     assert reports() == want
+
+
+def test_all_indicator_scans_cost_one_evaluation_per_piece(monkeypatch, ex52):
+    """ex5.2 and an indicator signal are piecewise constant, so validate and
+    identity parseval evaluate each expression once per piece, as often on
+    2^26 cells as on 2^20 (where blocks took 250 and 202 evaluations)."""
+    calls = []
+    for mod in (setups, analysis):
+        monkeypatch.setattr(mod, "evaluate_block",
+                            lambda e, g, f=mod.evaluate_block: calls.append(g) or f(e, g))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    sig = indicator_signal(F(1, 8), F(1, 2))
+    for run in (
+        lambda k: validate_setup(ex52, k),
+        lambda k: parseval_report(sig, ex52, -4, 4, grid=FrequencyGrid(F(0), F(1, 2), k)),
+    ):
+        assert count(lambda: run(20)) == count(lambda: run(26)) < 40
 
 
 # ---------------------------------------------------------------------------

@@ -230,11 +230,19 @@ def test_non_finite_sum_is_named(capsys, argv):
     assert "level-" in err or "squared norm" in err
 
 
-@pytest.mark.parametrize("filters,check", [
-    (["1e200*1e200*chi[0,1/32]", "1 - chi[0,1/32]"], "refinement residual"),
-    (["chi[0,1/32]", "1e200*1e200*(1 - chi[0,1/32])"], "filter condition residual"),
+_INF_H0 = ["1e200*1e200*chi[0,1/32]", "1 - chi[0,1/32]"]
+
+
+@pytest.mark.parametrize("filters,check,value", [
+    # H0ψ̂₀ is inf up to 1/32 (1 − inf = −inf) and 0·inf = nan beyond
+    pytest.param(_INF_H0, "refinement residual", "inf",
+                 id="filters0-refinement residual"),
+    pytest.param(["chi[0,1/32]", "1e200*1e200*(1 - chi[0,1/32])"],
+                 "filter condition residual", "nan",
+                 id="filters1-filter condition residual"),
 ])
-def test_non_finite_residual_is_named(capsys, tmp_path, filters, check):
+def test_non_finite_residual_is_named(capsys, tmp_path, filters, check, value):
+    """The message names |residual| at the first non-finite cell."""
     p = tmp_path / "setup.json"
     p.write_text(json.dumps({
         "N": 2, "r": 3, "psi0_hat": "chi[0,1/8]", "filters": filters,
@@ -242,7 +250,17 @@ def test_non_finite_residual_is_named(capsys, tmp_path, filters, check):
     code, out, err = run(capsys, "validate", "--setup", str(p), "--grid-log2", "12")
     assert code == 2
     assert out == ""
-    assert f"the {check} is nan: a value overflows a float" in err
+    assert f"the {check} is {value}: a value overflows a float" in err
+
+
+def test_non_finite_residual_message_does_not_depend_on_the_grid(capsys, tmp_path):
+    """A one-array scan, a scan cut into blocks or one cut into pieces all
+    name the first non-finite cell, whichever faulty values follow it."""
+    p = tmp_path / "setup.json"
+    p.write_text(json.dumps({"N": 2, "r": 3, "psi0_hat": "chi[0,1/8]", "filters": _INF_H0}))
+    errs = {run(capsys, "validate", "--setup", str(p), "--grid-log2", k)[2]
+            for k in ("12", "14", "16", "20")}
+    assert errs == {"error: the refinement residual is inf: a value overflows a float\n"}
 
 
 _SPIKE = "chi[1/1073741824,1/536870912]*1e200*1e200"

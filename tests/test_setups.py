@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from nuframes import (
+    FrequencyGrid,
     GeneralSetup,
     TranslationSet,
     derive_generator,
     evaluate,
+    indicator_signal,
     oep_check,
     oep_normalize,
     parse,
+    parseval_report,
     setup_from_dict,
     two_generator_setup,
     uep_residual,
     validate_setup,
 )
-from nuframes import setups
+from nuframes import setups, symfunc
 from nuframes.errors import ThetaMissing, ThetaNotPositive
 from nuframes.setups import DEFAULT_LIMIT_TOL, DEFAULT_TOL
 from nuframes.symfunc import grid_blocks, squared_modulus
@@ -192,6 +195,49 @@ def test_restricted_scans_equal_full_grid_oracle(ex51, ex52, name):
     assert validate_setup(s, grid_log2=16).to_dict() == _full_grid_report(s, 16)
 
 
+@pytest.mark.parametrize("block", [symfunc.BLOCK_CELLS, 1 << 10])
+def test_non_dyadic_pieces_equal_full_grid_oracle(monkeypatch, block):
+    """Breakpoints 1/72, 1/5 and 1/7 fall inside cells, so the scans and
+    level sums of this all-indicator setup are cut into pieces off the
+    grid's dyadic points (the filter scan's seven pieces only when the grid
+    has as many blocks, with 2^10 cells per block); the validate report,
+    each level sum and each signal norm are the bits of one array over
+    every cell."""
+    monkeypatch.setattr(symfunc, "BLOCK_CELLS", block)
+    s = setup_from_dict({
+        "N": 3, "r": 5, "psi0_hat": "chi[0,1/12]",
+        "filters": ["chi[0,1/72]", "chi(1/72,1/5]", "1 - chi[0,1/5]"],
+        "theta": "1 + 1/3*chi(1/7,2/7]",
+    })
+    assert validate_setup(s, grid_log2=16).to_dict() == _full_grid_report(s, 16)
+    grid = FrequencyGrid(F(0), F(1, 2), 16)
+    g = grid.points()
+    for sig in (indicator_signal(F(1, 7), F(3, 7)), indicator_signal(F(1, 9), F(10, 11))):
+        want = []
+        for ell in (1, 2):
+            gen = evaluate(derive_generator(s, ell), g)
+            for j in range(-4, 5):
+                scale = 6.0**j
+                u = evaluate(sig.fhat, scale * g) * gen
+                want.append((ell, j, math.fsum(scale * squared_modulus(u)) * grid.h))
+        sub = FrequencyGrid(*sig.support, 16)
+        nrm = math.fsum(squared_modulus(evaluate(sig.fhat, sub.points()))) * sub.h
+        r = parseval_report(sig, s, -4, 4, grid=grid)
+        assert (list(r.levels), r.signal_norm_sq) == (want, nrm)
+
+
+def test_a_piece_sample_that_is_not_one_value_raises(monkeypatch, ex52):
+    """Were a flip missed, a piece's two ends would straddle an indicator;
+    their two values never stand in for the cells between them."""
+    monkeypatch.setattr(symfunc, "_flips", lambda e: [])
+    sig = indicator_signal(F(1, 8), F(1, 2))
+    for run in (lambda: validate_setup(ex52, 20), lambda: oep_normalize(
+            setup_from_dict({**WEIGHT_TWO, "theta": "2 - chi[1/4,1/2]"}), 20),
+            lambda: parseval_report(sig, ex52, 0, 0)):
+        with pytest.raises(ValueError, match="broadcast"):
+            run()
+
+
 def test_theta_fault_names_the_first_point():
     """On a grid of four blocks the message names the first γ where θ ≤ 0,
     not where θ is least."""
@@ -254,20 +300,27 @@ def test_every_scan_takes_the_cli_grid_range(ex52, check, log2):
 
 
 def test_filter_scan_keeps_one_value_blocks(ex52, monkeypatch):
-    """On ex5.2 each filter-condition sum is one value per block, so _sup
-    compares one element per block, not 2^14."""
-    shapes = []
+    """On ex5.2 each filter-condition sum is one value per piece, so _sup
+    compares one element per piece, and as many at 2^26 cells as at 2^20."""
     sup = setups._sup
 
-    def spy(acc, v, what):
-        if what.endswith("filter condition residual"):
-            shapes.append(np.shape(v))
-        return sup(acc, v, what)
+    def shapes(log2):
+        seen = []
 
-    monkeypatch.setattr(setups, "_sup", spy)
-    uep_residual(ex52, 20)
-    oep_check(ex52, 20)
-    assert shapes == [(1,)] * (3 * 64)
+        def spy(acc, v, n, what):
+            if what.endswith("filter condition residual"):
+                seen.append(np.shape(v))
+            return sup(acc, v, n, what)
+
+        with monkeypatch.context() as m:
+            m.setattr(setups, "_sup", spy)
+            uep_residual(ex52, log2)
+            oep_check(ex52, log2)
+        return seen
+
+    fine = shapes(26)
+    assert fine and set(fine) == {(1,)}
+    assert shapes(20) == fine
 
 
 def test_trivial_weight_degenerates_exactly(ex52):

@@ -38,6 +38,7 @@ from nuframes.symfunc import (
     evaluate,
     evaluate_block,
     grid_blocks,
+    grid_pieces,
     parse,
     product_of,
     render,
@@ -595,3 +596,60 @@ def test_grid_blocks_walk_the_cell_range(monkeypatch, interval):
         assert np.array_equal(g, whole[k : k + len(g)])
         cells.extend(range(k, k + len(g)))
     assert cells == list(range(k0, k1))
+
+
+@st.composite
+def _piece_scans(draw):
+    """A grid on a window [a, b] with dyadic or other ends, the cells of an
+    interval on it, and sums of indicators evaluated at s·γ, s = 1 or
+    (2N)^j, with endpoints near the points they are compared with: at a
+    drawn fraction of the scaled window, or at a scaled midpoint itself."""
+    den = st.sampled_from([1, 3, 7, 64, 100, 1 << 20])
+    a = F(draw(st.integers(-64, 64)), draw(den))
+    width = F(draw(st.integers(1, 64)), draw(den))
+    log2_n = draw(st.integers(10, 14))
+    h = float(width / (1 << log2_n))
+    frac = st.fractions(F(-1, 8), F(9, 8), max_denominator=1 << 16)
+    interval = draw(st.one_of(st.none(), st.tuples(frac, frac).map(
+        lambda t: tuple(a + width * x for x in t))))
+    exprs = []
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(st.one_of(st.just(1.0), st.builds(lambda N, j: float(2 * N) ** j,
+                                                   st.integers(1, 8), st.integers(-8, 8))))
+        ends = st.one_of(
+            frac.map(lambda x: F(s) * (a + width * x)),
+            st.integers(-2, (1 << log2_n) + 1).map(
+                lambda k: F(s * (float(a) + (k + 0.5) * h))),
+        )
+        inds = []
+        for lo, hi in draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=3)):
+            if lo != hi:
+                inds.append(Indicator(min(lo, hi), max(lo, hi), draw(st.booleans()),
+                                      draw(st.booleans())))
+        if inds:
+            exprs.append((sum_of(*inds), s))
+    return a, a + width, log2_n, interval, exprs
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_piece_scans())
+def test_grid_pieces_cut_where_a_comparison_flips(case):
+    """The binary searches cut the cells exactly where evaluating every
+    cell shows an indicator's comparison with one of its endpoints flip,
+    and each piece carries its first and last midpoint."""
+    a, b, log2_n, interval, exprs = case
+    ((_, whole),) = grid_blocks(a, b, log2_n)
+    k0, k1 = cell_range(a, b, log2_n, interval)
+    big = F(1 << 64)
+    want = {k0, k1}
+    for e, s in exprs:
+        for ind in (e.terms if isinstance(e, Sum) else (e,)):
+            for one_side in (Indicator(ind.lo, big, ind.lo_closed, True),
+                             Indicator(-big, ind.hi, True, ind.hi_closed)):
+                v = evaluate(one_side, s * whole[k0:k1]).real
+                want.update(k0 + np.flatnonzero(v[1:] != v[:-1]) + 1)
+    with mock.patch.object(symfunc, "BLOCK_CELLS", 1):
+        pieces = list(grid_pieces(a, b, log2_n, interval, exprs))
+    assert sorted(want) == ([k for k, _, _ in pieces] + [k1] if k1 > k0 else [k0])
+    for k, n, g in pieces:
+        assert g.tolist() == [whole[k], whole[k + n - 1]]
