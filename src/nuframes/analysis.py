@@ -7,10 +7,10 @@ integral is one exact sum over all its cells, equal to math.fsum (correctly
 rounded), so results are bit-reproducible and independent of chunking.
 Integrands of expressions without ``i`` are evaluated in float64.
 
-Integrals evaluate only the cells that can meet the support symfunc's
-zero_outside proves for their integrand, widened by one cell on each side,
-and walk them with symfunc.grid_pieces.  Every skipped cell holds an exact
-zero, and an exactly rounded sum or a max does not change when zeros are
+Integrals evaluate only the cells symfunc.support_cells keeps for their
+integrand, those whose evaluated argument lies in the support zero_outside
+proves, and walk them with symfunc.grid_pieces.  Every skipped cell holds an
+exact zero, and an exactly rounded sum or a max does not change when zeros are
 dropped or the cells are cut differently, so the results are the same bits
 as one array over every cell.  Where nothing is proved, every cell is
 evaluated.  The validate scans in setups skip proven zeros the same way.
@@ -53,15 +53,13 @@ from .setups import GeneralSetup, check_grid_log2, derive_generator, uep_residua
 from .signals import SignalSpec, probe_support
 from .symfunc import (
     FreqExpr,
-    cell_range,
     evaluate,
     evaluate_block,
     grid_blocks,
     grid_pieces,
     render,
     squared_modulus,
-    zero_outside,
-    zero_outside_scaled,
+    support_cells,
 )
 
 _POINTS_MAX_LOG2 = 22
@@ -175,9 +173,9 @@ def _exact_sum(arrays) -> float:
     return total / (1 << _UNIT_LOG2)
 
 
-def _stream_real_integral(fn, grid: FrequencyGrid, interval, exprs) -> float:
-    """h·Σ fn(γ) over the grid cells that can meet the closed interval (every
-    cell when it is None), fn real-valued and exactly zero elsewhere.  fn
+def _stream_real_integral(fn, grid: FrequencyGrid, cells, exprs) -> float:
+    """h·Σ fn(γ) over the grid cells [k0, k1) (every cell when cells is
+    None), fn real-valued and exactly zero elsewhere.  fn
     evaluates exprs, the (expression, scale) pairs of symfunc.grid_pieces,
     on the midpoints g of one piece and returns its values, or one value
     for the whole piece (see symfunc.evaluate_block); a two-point g that
@@ -189,7 +187,7 @@ def _stream_real_integral(fn, grid: FrequencyGrid, interval, exprs) -> float:
     """
 
     def values():
-        for _, n, g in grid_pieces(grid.a, grid.b, grid.log2_n, interval, exprs):
+        for _, n, g in grid_pieces(grid.a, grid.b, grid.log2_n, cells, exprs):
             yield np.broadcast_to(fn(g), n)
 
     with np.errstate(all="ignore"):
@@ -207,18 +205,16 @@ def _not_finite(what: str, value: float) -> ValueError:
 
 
 def _half_line_support(g_hat: FreqExpr):
-    """The interval zero_outside proves for ĝ on [−4, 4], or None.
-
-    When that interval does not lie in [0, 1/2], probe that ĝ has no
-    detectable mass outside [0, 1/2] (SupportViolation otherwise).
+    """Check that ĝ vanishes on [−4, 4] outside [0, 1/2]: by zero_outside,
+    or else by a probe that finds no detectable mass there
+    (SupportViolation otherwise).
     """
-    iv, fault = probe_support(g_hat, (0, Fraction(1, 2)), (-_SUPPORT_REACH, _SUPPORT_REACH))
+    fault = probe_support(g_hat, (0, Fraction(1, 2)), (-_SUPPORT_REACH, _SUPPORT_REACH))
     if fault:
         raise SupportViolation(
             f"analyzing function has magnitude {fault[0]:.3e} at "
             f"gamma={fault[1]}, outside [0, 1/2]"
         )
-    return iv
 
 
 def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
@@ -234,15 +230,15 @@ def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
         ) from None
 
 
-def _level_support(f_hat: FreqExpr, g_iv, scale: float):
-    """Interval in γ outside which f̂(scale·γ)·ĝ(γ) is exactly zero on
-    [0, 1/2], given ĝ's interval g_iv, or None (see zero_outside_scaled)."""
-    if g_iv is None:
-        return None
-    f_iv = zero_outside_scaled(f_hat, scale, 0, Fraction(1, 2))
-    if f_iv is None:
-        return None
-    return max(g_iv[0], f_iv[0]), min(g_iv[1], f_iv[1])
+def _level_cells(f_hat: FreqExpr, g_hat: FreqExpr, scale: float, grid: FrequencyGrid):
+    """The cells support_cells keeps for both f̂(scale·γ) and ĝ(γ), or
+    None unless both are proved: elsewhere one factor is ±0 and the other
+    finite, so their product is ±0."""
+    f, g = (support_cells(e, s, grid.a, grid.b, grid.log2_n)
+            for e, s in ((f_hat, scale), (g_hat, 1.0)))
+    if f and g:
+        k0 = max(f[0], g[0])
+        return k0, max(k0, min(f[1], g[1]))
 
 
 @dataclass(frozen=True)
@@ -308,9 +304,9 @@ def lattice_sum_direct_detail(
             f"M*h = {M * grid.h:.4g} > 0.01: the phase e^(2pi i lambda gamma) "
             "would be under-resolved; refine the grid or shrink M"
         )
-    g_iv = _half_line_support(g_hat)
+    _half_line_support(g_hat)
     scale, amp = _level_scales(ts, j)
-    k0, k1 = cell_range(grid.a, grid.b, grid.log2_n, _level_support(f_hat, g_iv, scale))
+    k0, k1 = _level_cells(f_hat, g_hat, scale, grid) or (0, grid.n)
     g = grid.points()[k0:k1]
     h = grid.h
     F = np.zeros(grid.n, dtype=np.complex128)
@@ -350,15 +346,14 @@ def lattice_sum_parseval(
     violations raise SupportViolation.
 
     Only the cells where both f̂((2N)^j γ) and ĝ(γ) may be nonzero are
-    evaluated, widened by one cell on each side; every other cell holds an
-    exact zero, so the exactly rounded sum is the same bits as over the
+    evaluated (see _level_cells); every other cell holds an exact zero, so the exactly rounded sum is the same bits as over the
     whole grid.  A disjoint pair returns 0.0 without evaluating anything.
     A sum that overflows to inf or nan raises ValueError naming the level
     and ĝ.
     """
     grid = _resolve_grid(grid)
     _require_working_window(grid)
-    g_iv = _half_line_support(g_hat)
+    _half_line_support(g_hat)
     scale = _level_scales(ts, j)[0]
 
     def integrand(g):
@@ -366,8 +361,8 @@ def lattice_sum_parseval(
             evaluate_block(f_hat, scale * g) * evaluate_block(g_hat, g)
         )
 
-    iv = _level_support(f_hat, g_iv, scale)
-    value = _stream_real_integral(integrand, grid, iv, ((f_hat, scale), (g_hat, 1.0)))
+    cells = _level_cells(f_hat, g_hat, scale, grid)
+    value = _stream_real_integral(integrand, grid, cells, ((f_hat, scale), (g_hat, 1.0)))
     if not math.isfinite(value):
         raise _not_finite(f"the level-{j} sum against {render(g_hat)}", value)
     return value
@@ -392,9 +387,8 @@ def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> floa
     """quad of |f̂|² over the support interval, at the grid's resolution
     (a fresh midpoint grid is laid over the support).
 
-    Only the cells that can meet the support zero_outside proves for f̂ are
-    evaluated, widened by one cell on each side; the others hold exact
-    zeros, so the exactly rounded sum is the same bits as over every cell.
+    Only the cells support_cells keeps for f̂ are evaluated; the others
+    hold exact zeros, so the exactly rounded sum is the same bits as over every cell.
     A norm that overflows to inf or nan raises ValueError.
     """
     grid = _resolve_grid(grid)
@@ -404,7 +398,8 @@ def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> floa
     def integrand(g):
         return squared_modulus(evaluate_block(f_hat, g))
 
-    value = _stream_real_integral(integrand, sub, zero_outside(f_hat, a, b), ((f_hat, 1.0),))
+    cells = support_cells(f_hat, 1.0, a, b, sub.log2_n)
+    value = _stream_real_integral(integrand, sub, cells, ((f_hat, 1.0),))
     if not math.isfinite(value):
         raise _not_finite(f"the squared norm of the signal over [{a}, {b}]", value)
     return value

@@ -28,6 +28,10 @@ class TranslationSet:
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
+        try:
+            float(2 * self.N)
+        except OverflowError:
+            raise ValueError("N is too large: the dilation 2N overflows a float") from None
         if not isinstance(self.r, int) or self.r % 2 == 0:
             raise ValueError(f"r must be an odd integer, got {self.r!r}")
         if gcd(self.r, self.N) != 1:

@@ -87,11 +87,6 @@ def setup_from_dict(d: dict) -> GeneralSetup:
         isinstance(f, str) for f in filters
     ):
         raise ValueError("filters must be a list of expression strings")
-    if len(filters) < 2:
-        raise ValueError(
-            f"need the low-pass filter plus at least one band filter, "
-            f"got {len(filters)}"
-        )
     theta = d.get("theta")
     if theta is not None and not isinstance(theta, str):
         raise ValueError("theta must be an expression string when present")

@@ -32,15 +32,13 @@ from .symfunc import (
     Product,
     RationalConst,
     Sqrt,
-    cell_range,
     dilate_arg,
     evaluate,
     evaluate_block,
     grid_pieces,
     product_of,
     squared_modulus,
-    zero_outside,
-    zero_outside_scaled,
+    support_cells,
 )
 
 # Residual tolerance for hypothesis checks; the 0⁺ normalization probe gets
@@ -163,15 +161,13 @@ def _sup(acc: float, v, n: int, what: str) -> float:
     return max(acc, m)
 
 
-def _hull(*ivs):
-    """Smallest interval holding every nonempty interval of ivs (an empty
-    one if there is none), or None when any of them is None."""
-    if any(iv is None for iv in ivs):
+def _hull(c, d):
+    """Smallest cell range holding the cell ranges c and d, or None when
+    either is None."""
+    if c is None or d is None:
         return None
-    ivs = [iv for iv in ivs if iv[0] <= iv[1]]
-    if not ivs:
-        return Fraction(1), Fraction(0)
-    return min(a for a, _ in ivs), max(b for _, b in ivs)
+    ranges = [r for r in (c, d) if r[0] < r[1]] or [(0, 0)]
+    return min(k0 for k0, _ in ranges), max(k1 for _, k1 in ranges)
 
 
 def _limit_deviation(e: FreqExpr, name: str) -> float:
@@ -200,9 +196,9 @@ def _filter_scan(
     last two are None without θ, and without filters only θ is checked.
     Both sums run in ascending ℓ, so with θ ≡ 1 they agree bit for bit.
 
-    Each filter is evaluated only on the pieces that meet the cells that
-    can meet the support zero_outside proves for it on [0, 1/2]; elsewhere
-    its |Hₗ|² is exactly +0, which changes no bit of a sum of squares.  θ is
+    Each filter is evaluated only on the pieces that meet the cells
+    symfunc.support_cells keeps for it on [0, 1/2]; elsewhere its |Hₗ|² is
+    exactly +0, which changes no bit of a sum of squares.  θ is
     evaluated on every piece, at γ and at 2Nγ.  The sums broadcast, so one
     that is the same on a whole piece stays one element: for piecewise-
     constant filters and θ, every piece, whatever the grid size.
@@ -210,7 +206,8 @@ def _filter_scan(
     check_grid_log2(grid_log2)
     d = float(ts.dilation)
     half = Fraction(1, 2)
-    ranges = [cell_range(0, half, grid_log2, zero_outside(h, 0, half)) for h in filters]
+    ranges = [support_cells(h, 1.0, 0, half, grid_log2) or (0, 1 << grid_log2)
+              for h in filters]
     exprs = [(h, 1.0) for h in filters] + ([] if theta is None else [(theta, 1.0), (theta, d)])
     uep = oep = 0.0
     tmin = math.inf
@@ -261,8 +258,8 @@ def validate_setup(
     scaling symbol present) the θ-weighted residual is within tol.
 
     Every scan walks its grid with symfunc.grid_pieces and evaluates an
-    expression only on the cells (the filter scan: the pieces) that can meet
-    the support zero_outside proves for it; the other cells hold exact
+    expression only on the cells symfunc.support_cells keeps for it (the
+    filter scan: the pieces that meet them); the other cells hold exact
     zeros, which change no sup, so each residual is the same bits as a scan
     of every cell in one array.  Values come from symfunc.evaluate_block,
     so one that is the same on a whole piece (a decided indicator, θ ≡ 1)
@@ -279,20 +276,20 @@ def validate_setup(
     # on the others both sides are exact zeros.
     refinement = 0.0
     d = float(s.ts.dilation)
-    lhs_iv = zero_outside_scaled(s.psi0_hat, d, 0, quarter)
-    rhs_iv = zero_outside(Product((s.filters[0], s.psi0_hat)), 0, quarter)
+    cells = _hull(support_cells(s.psi0_hat, d, 0, quarter, grid_log2),
+                  support_cells(Product((s.filters[0], s.psi0_hat)), 1.0, 0, quarter, grid_log2))
     exprs = ((s.psi0_hat, d), (s.filters[0], 1.0), (s.psi0_hat, 1.0))
-    for _, n, g in grid_pieces(0, quarter, grid_log2, _hull(lhs_iv, rhs_iv), exprs):
+    for _, n, g in grid_pieces(0, quarter, grid_log2, cells, exprs):
         lhs = evaluate_block(s.psi0_hat, d * g)
         rhs = evaluate_block(s.filters[0], g) * evaluate_block(s.psi0_hat, g)
         refinement = _sup(refinement, lhs - rhs, n, "refinement residual")
 
-    # Only cells that can meet ψ̂₀'s proven support are scanned; the others
-    # hold exact zeros, which cannot raise the max.
+    # Only the cells of ψ̂₀'s proven support are scanned; the others hold
+    # exact zeros, which cannot raise the max.
     leak = 0.0
     for a, b in ((quarter, SUPPORT_SCAN_REACH), (-SUPPORT_SCAN_REACH, Fraction(0))):
-        iv = zero_outside(s.psi0_hat, a, b)
-        for _, n, g in grid_pieces(a, b, grid_log2, iv, ((s.psi0_hat, 1.0),)):
+        cells = support_cells(s.psi0_hat, 1.0, a, b, grid_log2)
+        for _, n, g in grid_pieces(a, b, grid_log2, cells, ((s.psi0_hat, 1.0),)):
             leak = _sup(leak, evaluate_block(s.psi0_hat, g), n, "support leak")
 
     limit_dev = _limit_deviation(s.psi0_hat, "psi0_hat")

@@ -57,34 +57,34 @@ def _check_interval(a, b) -> tuple[Fraction, Fraction]:
 
 
 def probe_support(fhat: FreqExpr, support, window):
-    """(interval, fault) for fhat and a declared support inside a window.
+    """(magnitude, gamma) where fhat shows mass in the window outside a
+    declared support inside it, or None.
 
-    interval is what zero_outside proves for fhat on the window, or None.
-    When it does not lie in the support, fhat is probed at 64 midpoints
-    between each end of the support and the window's (above first); fault
-    is then (magnitude, gamma) of the worst probe on the first side above
-    1e-12 or nan, and None when no probe is.
+    None when the interval zero_outside proves for fhat on the window lies
+    in the support.  Otherwise fhat is probed at 64 midpoints between each
+    end of the support and the window's (above first): the worst probe on
+    the first side above 1e-12 or nan, or None when no probe is.
     """
     a, b = support
     lo, hi = window
     iv = zero_outside(fhat, lo, hi)
     if iv is not None and (iv[0] > iv[1] or (a <= iv[0] and iv[1] <= b)):
-        return iv, None
+        return None
     k = np.arange(_SPOT_PROBES) + 0.5
     for end, reach in ((b, hi - b), (a, lo - a)):
         probes = float(end) + k * float(reach / _SPOT_PROBES)
         v = np.abs(evaluate(fhat, probes))
         i = int(np.argmax(v))  # the first nan, if there is one
         if not v[i] <= _SPOT_TOL:
-            return iv, (float(v[i]), float(probes[i]))
-    return iv, None
+            return float(v[i]), float(probes[i])
+    return None
 
 
 def _spot_check(spec: SignalSpec):
     """Check that the expression vanishes within 4 beyond each end of the
     declared support (see probe_support)."""
     a, b = spec.support
-    _, fault = probe_support(spec.fhat, spec.support, (a - _SPOT_REACH, b + _SPOT_REACH))
+    fault = probe_support(spec.fhat, spec.support, (a - _SPOT_REACH, b + _SPOT_REACH))
     if fault:
         raise ValueError(
             f"{spec.label}: expression has magnitude {fault[0]:.3e} outside "

@@ -464,24 +464,6 @@ def _support_node(e: FreqExpr, lo: Fraction, hi: Fraction):
     raise _Unproven
 
 
-def zero_outside_scaled(e: FreqExpr, scale: float, lo, hi):
-    """Interval in γ outside which evaluate(e, scale·γ) is exactly ±0 at
-    the midpoints of a grid on [lo, hi], 0 ≤ lo, to hand to cell_range; or
-    None when nothing can be proved.
-
-    e's zero_outside interval on [scale·lo, scale·hi] maps back through the
-    float scale that evaluation multiplies by; cell_range's one-cell
-    widening covers the rounding of the products scale·γ.  Below 2^−1000
-    those products are subnormal and may stray by more than a cell, so
-    nothing is proved there.
-    """
-    if not scale >= 2.0**-1000:
-        return None
-    s = Fraction(scale)
-    iv = zero_outside(e, s * Fraction(lo), s * Fraction(hi))
-    return None if iv is None else (iv[0] / s, iv[1] / s)
-
-
 # ---------------------------------------------------------------------------
 # argument dilation
 
@@ -532,24 +514,53 @@ def _dilate(e: FreqExpr, s: Fraction) -> FreqExpr:
 BLOCK_CELLS = 1 << 14
 
 
-def grid_blocks(a, b, log2_n: int, interval=None):
-    """Yield (k, g) over the cells of the regular 2^log2_n grid on [a, b]
-    that cell_range keeps for interval (every cell when it is None), in
-    blocks of BLOCK_CELLS cells: k is the block's first cell and g holds
-    its midpoints a + (k + 1/2)·h, h = (b − a)/2^log2_n, ascending.
+def _scan_key(a, b, log2_n: int, s: float = 1.0):
+    """k ↦ s·γ_k, the float a scan evaluates at cell k (an int or an array)
+    of the regular 2^log2_n grid on [a, b], γ_k = a + (k + 1/2)·h its
+    midpoint and h = (b − a)/2^log2_n; non-decreasing in k for s ≥ 0.
+    s = 1 gives the midpoints themselves, without the product."""
+    a_f = float(a)
+    h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
+    if s == 1.0:
+        return lambda k: a_f + (k + 0.5) * h
+    return lambda k: s * (a_f + (k + 0.5) * h)
+
+
+def support_cells(e: FreqExpr, s: float, a, b, log2_n: int) -> tuple[int, int] | None:
+    """Cells [k0, k1) of the regular 2^log2_n grid on [a, b] outside which
+    evaluate(e, s·γ) is exactly ±0 at the midpoint γ, s a finite float ≥ 0,
+    or None when nothing can be proved.
+
+    zero_outside proves its interval on the span of the floats s·γ that the
+    scans evaluate (see _scan_key), an s·γ that underflows to 0 or a
+    midpoint that rounds past b included, and two binary searches on the
+    same floats find the first and last cell inside it: no other is kept."""
+    n = 1 << log2_n
+    key = _scan_key(a, b, log2_n, s)
+    iv = zero_outside(e, key(0), key(n - 1))
+    if iv is None:
+        return None
+    # The interval's ends are the window's or indicators' float endpoints.
+    k0 = bisect.bisect_left(range(n), float(iv[0]), key=key)
+    return k0, max(k0, bisect.bisect_right(range(n), float(iv[1]), key=key))
+
+
+def grid_blocks(a, b, log2_n: int, cells=None):
+    """Yield (k, g) over the cells [k0, k1) of the regular 2^log2_n grid
+    on [a, b] (every cell when cells is None), in blocks of BLOCK_CELLS
+    cells: k is the block's first cell and g holds its midpoints
+    a + (k + 1/2)·h, h = (b − a)/2^log2_n, ascending.
 
     Each midpoint is the same float however the grid is cut; for dyadic
     a, b the values are exact float64.
     """
-    k0, k1 = cell_range(a, b, log2_n, interval)
-    h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
-    a_f = float(a)
+    k0, k1 = (0, 1 << log2_n) if cells is None else cells
+    mid = _scan_key(a, b, log2_n)
     for k in range(k0, k1, BLOCK_CELLS):
-        cells = np.arange(k, min(k + BLOCK_CELLS, k1), dtype=np.float64)
-        yield k, a_f + (cells + 0.5) * h
+        yield k, mid(np.arange(k, min(k + BLOCK_CELLS, k1), dtype=np.float64))
 
 
-def grid_pieces(a, b, log2_n: int, interval, exprs):
+def grid_pieces(a, b, log2_n: int, cells, exprs):
     """Yield (k, n, g) over the cells grid_blocks walks: n cells from cell k,
     with g holding midpoints of them, ascending.
 
@@ -560,27 +571,25 @@ def grid_pieces(a, b, log2_n: int, interval, exprs):
     endpoint flips, and g holds a piece's first and last midpoints: no
     comparison differs between them, so evaluate_block decides every
     indicator on g and returns one value, with the bits of each cell, for
-    the whole piece.  Each flip is found by a binary search over the cells,
-    by the float operations of grid_blocks, which make s·γ non-decreasing
-    in k.  Otherwise, or when there would be more pieces than the whole
-    grid has blocks (each piece costs an evaluation of every expression),
-    the pieces are grid_blocks' blocks, and g holds every midpoint.
+    the whole piece.  Each flip is found by a binary search over the cells
+    on the floats of _scan_key, which are non-decreasing in k.  Otherwise,
+    or when there would be more pieces than the whole grid has blocks (each
+    piece costs an evaluation of every expression), the pieces are
+    grid_blocks' blocks, and g holds every midpoint.
     """
     flips = [(s, f) for e, s in exprs for f in _flips(e)]
     if all(f is not None for _, f in flips):
-        k0, k1 = cell_range(a, b, log2_n, interval)
-        h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
-        a_f = float(a)
-        cells = range(k0, k1)
+        k0, k1 = (0, 1 << log2_n) if cells is None else cells
+        mid = _scan_key(a, b, log2_n)
         cuts = {k0, k1}
         for s, (search, x) in flips:
-            cuts.add(k0 + search(cells, x, key=lambda k: s * (a_f + (k + 0.5) * h)))
+            cuts.add(search(range(k0, k1), x, key=_scan_key(a, b, log2_n, s)) + k0)
         cuts = sorted(cuts)
         if len(cuts) - 1 <= math.ceil((1 << log2_n) / BLOCK_CELLS):
             for k, end in zip(cuts, cuts[1:]):
-                yield k, end - k, a_f + (np.array([k, end - 1], dtype=np.float64) + 0.5) * h
+                yield k, end - k, np.array([mid(k), mid(end - 1)])
             return
-    for k, g in grid_blocks(a, b, log2_n, interval):
+    for k, g in grid_blocks(a, b, log2_n, cells):
         yield k, len(g), g
 
 
@@ -601,28 +610,6 @@ def _flips(e: FreqExpr):
     if isinstance(e, (Sum, Product)):
         return [f for p in (e.terms if isinstance(e, Sum) else e.factors) for f in _flips(p)]
     return [None]
-
-
-def cell_range(a, b, log2_n: int, interval) -> tuple[int, int]:
-    """Cells [k0, k1) of the regular 2^log2_n grid on [a, b] whose
-    exact midpoints lie in the closed interval, widened by one cell on each
-    side; every cell when interval is None, none when it is empty.
-
-    A float midpoint strays from the exact one by a few ulps of
-    max(|a|, |b|), which the widening covers while that is far below a cell;
-    on a grid too fine for that every cell is kept.
-    """
-    a, b = Fraction(a), Fraction(b)
-    n = 1 << log2_n
-    h = (b - a) / n
-    if interval is None or max(abs(a), abs(b)) >= h * (1 << 48):
-        return 0, n
-    lo, hi = interval
-    if lo > hi:
-        return 0, 0
-    k0 = min(max(math.ceil((lo - a) / h - Fraction(1, 2)) - 1, 0), n)
-    k1 = min(math.floor((hi - a) / h - Fraction(1, 2)) + 2, n)
-    return k0, max(k1, k0)
 
 
 # ---------------------------------------------------------------------------

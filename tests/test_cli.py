@@ -67,6 +67,7 @@ def test_validate_failing_setup_exits_one(capsys, tmp_path):
                     "filters": ["g", "g"]}),
         json.dumps({"N": 2, "r": 3, "psi0_hat": "chi[0,1/8]",
                     "filters": ["g", "g"], "extra": 1}),
+        json.dumps({"N": 2, "r": 3, "psi0_hat": "chi[0,1/8]", "filters": ["g"]}),
     ],
 )
 def test_malformed_setup_files_exit_two(capsys, tmp_path, payload):
@@ -81,7 +82,7 @@ def test_malformed_setup_files_exit_two(capsys, tmp_path, payload):
 def test_missing_setup_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--setup", str(tmp_path / "nope.json"))
     assert code == 2
-    assert "error:" in err
+    assert err == f"error: {tmp_path / 'nope.json'}: No such file or directory\n"
 
 
 def test_unknown_preset_is_usage_error(capsys):
@@ -548,7 +549,7 @@ def test_out_file_write_error_exits_two(capsys, tmp_path):
         "--out", str(tmp_path / "missing-dir" / "x.json"),
     )
     assert code == 2
-    assert "error:" in err
+    assert err == f"error: {tmp_path / 'missing-dir' / 'x.json'}: No such file or directory\n"
 
 
 def test_module_entry_point():

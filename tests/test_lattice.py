@@ -17,6 +17,7 @@ from nuframes import TranslationSet
         (2, 5, r"\[1, 2N-1\]"),
         (2, -1, r"\[1, 2N-1\]"),
         (5, 11, r"\[1, 2N-1\]"),
+        pytest.param(10**400, 1, "N is too large", id="huge-N"),
     ],
 )
 def test_invalid_parameters(N, r, msg):

@@ -230,7 +230,7 @@ def test_a_piece_sample_that_is_not_one_value_raises(monkeypatch, ex52):
     """Were a flip missed, a piece's two ends would straddle an indicator;
     their two values never stand in for the cells between them."""
     monkeypatch.setattr(symfunc, "_flips", lambda e: [])
-    sig = indicator_signal(F(1, 8), F(1, 2))
+    sig = indicator_signal(F(1, 16), F(1, 2))
     for run in (lambda: validate_setup(ex52, 20), lambda: oep_normalize(
             setup_from_dict({**WEIGHT_TWO, "theta": "2 - chi[1/4,1/2]"}), 20),
             lambda: parseval_report(sig, ex52, 0, 0)):

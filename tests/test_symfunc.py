@@ -32,7 +32,6 @@ from nuframes.symfunc import (
     Sqrt,
     Sum,
     Var,
-    cell_range,
     count_nodes,
     dilate_arg,
     evaluate,
@@ -43,6 +42,7 @@ from nuframes.symfunc import (
     product_of,
     render,
     sum_of,
+    support_cells,
     zero_outside,
 )
 
@@ -512,6 +512,43 @@ def test_zero_outside_is_exact(e, lo, width, log2_n):
     assert np.all(v[outside] == 0)
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    e=_exprs(),
+    window=st.sampled_from([
+        (F(0), F(1, 2)), (F(1, 8), F(4)), (F(1, 12), F(4)), (F(-4), F(0)),
+        (F(1000), F(1000) + F(1, 1 << 45)), (F(-1000) - F(1, 1 << 45), F(-1000)),
+    ]),
+    s=st.one_of(
+        st.sampled_from([1.0, 4.0**-535, 4.0**-600]),
+        st.builds(lambda N, j: float(2 * N) ** j, st.integers(1, 8), st.integers(-8, 8)),
+    ),
+    log2_n=st.integers(min_value=3, max_value=10),
+    data=st.data(),
+)
+def test_support_cells_are_exact(e, window, s, log2_n, data):
+    """Every cell outside [k0, k1) evaluates to exactly 0 at s·γ, and a
+    cell is kept exactly when its s·γ lies in the interval zero_outside
+    proves on the span of the scanned floats, so no margin cell is kept.
+    Half the expressions take a factor that cuts the scaled window."""
+    a, b = window
+    frac = st.fractions(F(-1, 8), F(9, 8), max_denominator=1 << 12)
+    lo, hi = sorted(F(s) * (a + (b - a) * data.draw(frac)) for _ in range(2))
+    if lo < hi and data.draw(st.booleans()):
+        e = Product((e, Indicator(lo, hi, data.draw(st.booleans()), data.draw(st.booleans()))))
+    cells = support_cells(e, s, a, b, log2_n)
+    if cells is None:
+        return
+    k0, k1 = cells
+    ((_, g),) = grid_blocks(a, b, log2_n)
+    x = s * g
+    v = evaluate(e, x)
+    assert np.all(v[:k0] == 0) and np.all(v[k1:] == 0)
+    lo, hi = zero_outside(e, x[0], x[-1])
+    inside = [k for k, xk in enumerate(x.tolist()) if lo <= xk <= hi]
+    assert inside == list(range(k0, k1))
+
+
 def test_zero_outside_rules():
     assert zero_outside(parse("sinc(g)*chi(0,1/8]"), 0, 1) == (0, F(1, 8))
     assert zero_outside(parse("sin(g)*chi[1/4,1/2] + chi(1,2)"), 0, 4) == (F(1, 4), 2)
@@ -582,26 +619,24 @@ def test_grid_blocks_are_ascending_and_finite(a, width, log2_n, cells, N, j):
             assert np.all(np.diff(x) >= 0)
 
 
-@pytest.mark.parametrize("interval", [
-    None, (F(1, 4), F(1, 2)), (F(-5), F(-1)), (F(0), F(0)), (F(1), F(0)),
-])
+@pytest.mark.parametrize("interval", [None, (320, 640), (0, 70), (700, 700), (1000, 1024)])
 def test_grid_blocks_walk_the_cell_range(monkeypatch, interval):
-    """Only the cells cell_range keeps are walked, each block starting at
-    its first cell k with the midpoints of the whole grid."""
+    """Only the cells of the interval [k0, k1) of cells are walked, each
+    block starting at its first cell k with the midpoints of the whole
+    grid."""
     ((_, whole),) = grid_blocks(F(-1), F(3), 10)
     monkeypatch.setattr(symfunc, "BLOCK_CELLS", 64)
-    k0, k1 = cell_range(F(-1), F(3), 10, interval)
     cells = []
     for k, g in grid_blocks(F(-1), F(3), 10, interval):
         assert np.array_equal(g, whole[k : k + len(g)])
         cells.extend(range(k, k + len(g)))
-    assert cells == list(range(k0, k1))
+    assert cells == list(range(*(interval or (0, 1024))))
 
 
 @st.composite
 def _piece_scans(draw):
-    """A grid on a window [a, b] with dyadic or other ends, the cells of an
-    interval on it, and sums of indicators evaluated at s·γ, s = 1 or
+    """A grid on a window [a, b] with dyadic or other ends, a range of its
+    cells, and sums of indicators evaluated at s·γ, s = 1 or
     (2N)^j, with endpoints near the points they are compared with: at a
     drawn fraction of the scaled window, or at a scaled midpoint itself."""
     den = st.sampled_from([1, 3, 7, 64, 100, 1 << 20])
@@ -610,8 +645,8 @@ def _piece_scans(draw):
     log2_n = draw(st.integers(10, 14))
     h = float(width / (1 << log2_n))
     frac = st.fractions(F(-1, 8), F(9, 8), max_denominator=1 << 16)
-    interval = draw(st.one_of(st.none(), st.tuples(frac, frac).map(
-        lambda t: tuple(a + width * x for x in t))))
+    cell = st.integers(0, 1 << log2_n)
+    cells = draw(st.one_of(st.none(), st.tuples(cell, cell).map(sorted).map(tuple)))
     exprs = []
     for _ in range(draw(st.integers(1, 3))):
         s = draw(st.one_of(st.just(1.0), st.builds(lambda N, j: float(2 * N) ** j,
@@ -628,7 +663,7 @@ def _piece_scans(draw):
                                       draw(st.booleans())))
         if inds:
             exprs.append((sum_of(*inds), s))
-    return a, a + width, log2_n, interval, exprs
+    return a, a + width, log2_n, cells, exprs
 
 
 @settings(deadline=None, max_examples=300)
@@ -637,9 +672,9 @@ def test_grid_pieces_cut_where_a_comparison_flips(case):
     """The binary searches cut the cells exactly where evaluating every
     cell shows an indicator's comparison with one of its endpoints flip,
     and each piece carries its first and last midpoint."""
-    a, b, log2_n, interval, exprs = case
+    a, b, log2_n, cells, exprs = case
     ((_, whole),) = grid_blocks(a, b, log2_n)
-    k0, k1 = cell_range(a, b, log2_n, interval)
+    k0, k1 = cells or (0, 1 << log2_n)
     big = F(1 << 64)
     want = {k0, k1}
     for e, s in exprs:
@@ -649,7 +684,7 @@ def test_grid_pieces_cut_where_a_comparison_flips(case):
                 v = evaluate(one_side, s * whole[k0:k1]).real
                 want.update(k0 + np.flatnonzero(v[1:] != v[:-1]) + 1)
     with mock.patch.object(symfunc, "BLOCK_CELLS", 1):
-        pieces = list(grid_pieces(a, b, log2_n, interval, exprs))
+        pieces = list(grid_pieces(a, b, log2_n, cells, exprs))
     assert sorted(want) == ([k for k, _, _ in pieces] + [k1] if k1 > k0 else [k0])
     for k, n, g in pieces:
         assert g.tolist() == [whole[k], whole[k + n - 1]]
