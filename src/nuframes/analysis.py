@@ -16,7 +16,7 @@ as one array over every cell.  Where nothing is proved, every cell is
 evaluated.  The validate scans in setups skip proven zeros the same way.
 An integrand of indicators and constants is cut where an indicator flips,
 and each piece's one value enters the exact sum as a zero-stride view,
-which bins it once and counts it once per cell, so it costs O(pieces);
+which converts it once and counts it once per cell, so it costs O(pieces);
 any other integrand walks blocks of BLOCK_CELLS (2^14) cells, so the
 temporaries of an evaluation stay in cache.  Only the direct route, whose
 FFT needs every sample at once, evaluates the grid as one array.
@@ -124,14 +124,38 @@ def _require_working_window(grid: FrequencyGrid):
         )
 
 
-# np.frexp writes a finite nonzero x as u·2^e with 0.5 ≤ |u| < 1 and
-# −1073 ≤ e ≤ 1024.  Split u·2^27 = hi + frac, hi an integer with |hi| ≤ 2^27
-# and frac in [0, 1) a multiple of 2^−26; then x = (hi + frac)·2^(k−1100)
-# for bin k = e + 1073, and every value is an integer in units of 2^−1126.
+# frexp writes a finite nonzero x as u·2^e with 0.5 ≤ |u| < 1 and
+# −1073 ≤ e ≤ 1024, so x = (u·2^53)·2^(e + 1073) is an integer in units of
+# 2^−1126.
 _EXP_OFFSET = 1073
 _UNIT_LOG2 = 1126
-# Values per bincount: bin sums stay integers below 2^53 (2^26 · 2^27).
+# Values per chunk: an extraction pass peels at least 53 − 27 bits off a
+# chunk's largest value, and the remainder's bin sums stay integers below
+# 2^53 (2^26 · 2^27).
 _BINCOUNT_MAX = 1 << 26
+_EXTRACT_PASSES = 3  # per chunk, before what is left is binned
+
+
+def _units(x: float) -> int:
+    """A finite float as an exact integer in units of 2^−1126."""
+    u, e = math.frexp(x)
+    return int(u * 2.0**53) << (e + _EXP_OFFSET)
+
+
+def _binned(c) -> int:
+    """The exact sum of the finite array c in units of 2^−1126: with
+    np.frexp's u split as u·2^27 = hi + frac (|hi| ≤ 2^27 an integer, frac in
+    [0, 1) a multiple of 2^−26), x = (hi + frac)·2^(k−1100) for bin
+    k = e + 1073, and a bincount per part sums each bin exactly."""
+    u, e = np.frexp(c)
+    u *= 2.0**27
+    hi = np.floor(u)
+    u -= hi
+    e += _EXP_OFFSET
+    hi_bins = np.bincount(e, weights=hi)
+    frac_bins = np.bincount(e, weights=u)
+    return (sum(int(hi_bins[k]) << (int(k) + 26) for k in np.flatnonzero(hi_bins))
+            + sum(int(frac_bins[k] * 2.0**26) << int(k) for k in np.flatnonzero(frac_bins)))
 
 
 @np.errstate(all="ignore")
@@ -139,37 +163,53 @@ def _exact_sum(arrays) -> float:
     """math.fsum of the concatenated float64 arrays that arrays() yields:
     the correctly rounded sum, bit for bit, or fsum's exception.
 
-    The hi and frac parts of the values are bincounted per exponent, which
-    is exact, and the bins of every array add into one Python int, rounded
-    once by int true division.  A zero-stride array (np.broadcast_to of one
-    value) is one value K times: its one value is binned and its bins count
-    K times.  fsum can overflow on the way, or meet inf or nan, only where
-    the magnitudes may add up to 2^1023; on the first such array math.fsum
-    itself sums a fresh arrays() from the start.
+    Each chunk p of n values is reduced by error-free extraction (Rump,
+    Ogita and Oishi, "Accurate floating-point summation part I: faithful
+    rounding", SIAM J. Sci. Comput. 31(1), 2008): for a power of two
+    σ ≥ (n + 2)·2^e, where max|p| < 2^e, q = (p + σ) − σ is exact and a
+    multiple of σ·2^−53 with |q| ≤ 2^e, so Σq is exact in any order, and
+    p − q is exact and at most σ·2^−53.  Each pass adds Σq to one Python
+    int and carries p − q on.  What _EXTRACT_PASSES passes leave, or all of
+    p when σ would leave [2^−968, 2^1023], is then bincounted per exponent
+    (_binned).  The int is rounded once by int true division.  A
+    zero-stride array (np.broadcast_to of one value) is one value K times:
+    its value is converted once and counts K times.  fsum can overflow on
+    the way, or meet inf or nan, only where the magnitudes may add up to
+    2^1023; on the first such array math.fsum itself sums a fresh arrays()
+    from the start.
     """
     total = 0  # the exact sum, in units of 2^−1126
     bound = 0  # Σ|x| so far is below bound, in the same units
     for x in arrays():
         for s in range(0, len(x), _BINCOUNT_MAX):
-            c = x[s : s + _BINCOUNT_MAX]
-            weight = len(c) if c.strides == (0,) else 1
-            u, e = np.frexp(c[:1] if weight > 1 else c)
-            # frexp's exponent of inf or nan is unspecified, so test first
-            finite = math.isfinite(u.sum())
+            p = x[s : s + _BINCOUNT_MAX]
+            n = len(p)
+            run = p.strides == (0,)
+            hi, lo = (float(p[0]),) * 2 if run else (float(p.max()), float(p.min()))
+            # inf or nan if a value is, or if max|x| ≥ 2^1023 (fsum's case)
+            finite = math.isfinite(hi - lo)
             if finite:
-                bound += len(c) << (int(e.max(initial=0)) + _UNIT_LOG2)
+                m = max(hi, -lo)
+                bound += n << (max(math.frexp(m)[1], 0) + _UNIT_LOG2)
             if not finite or bound >= 1 << (1023 + _UNIT_LOG2):
                 return math.fsum(itertools.chain.from_iterable(arrays()))
-            u *= 2.0**27
-            hi = np.floor(u)
-            u -= hi
-            e += _EXP_OFFSET
-            hi_bins = np.bincount(e, weights=hi)
-            frac_bins = np.bincount(e, weights=u)
-            for k in np.flatnonzero(hi_bins):
-                total += weight * int(hi_bins[k]) << (int(k) + 26)
-            for k in np.flatnonzero(frac_bins):
-                total += weight * int(frac_bins[k] * 2.0**26) << int(k)
+            if run:
+                total += n * _units(hi)
+                continue
+            width = (n + 2).bit_length()
+            for _ in range(_EXTRACT_PASSES):
+                k = math.frexp(m)[1] + width
+                # q's unit σ·2^−53 stays a normal float, and σ stays finite
+                if m == 0 or not 53 - 1021 <= k <= 1023:
+                    break
+                sigma = math.ldexp(1.0, k)
+                q = p + sigma
+                q -= sigma
+                p = p - q
+                total += _units(float(q.sum()))
+                m = max(float(p.max()), -float(p.min()))
+            if m:
+                total += _binned(p)
     return total / (1 << _UNIT_LOG2)
 
 

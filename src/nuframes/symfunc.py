@@ -334,15 +334,16 @@ def _eval(e: FreqExpr, g: np.ndarray, span) -> np.ndarray:
         return np.cos(_whole(e.arg, g, span))
     if isinstance(e, Sinc):
         x = _whole(e.arg, g, span)
-        zero = x == 0
-        safe = np.where(zero, 1.0, x)
+        # 1/x overflows for |x| ≤ 2^−1024, where sinc(x) rounds to 1
+        tiny = np.abs(x) <= 2.0**-1024
+        safe = np.where(tiny, 1.0, x)
         # A real x takes sin(x)·(1/x): that is what complex division by a
         # real divisor computes, so both forms give the same bits.
         if np.iscomplexobj(safe):
             ratio = np.sin(safe) / safe
         else:
             ratio = np.sin(safe) * (1.0 / safe)
-        return np.where(zero, 1.0, ratio)
+        return np.where(tiny, 1.0, ratio)
     if isinstance(e, Sqrt):
         v = _whole(e.arg, g, span)
         bad = _off_real_axis(v) | (v.real < -IMAG_TOL)

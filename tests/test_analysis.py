@@ -128,6 +128,77 @@ def test_exact_sum_cases():
         assert _outcome(lambda: _exact_sum(lambda: run)) == _outcome(lambda: math.fsum([v] * k))
 
 
+def _spread(rng, n, lo, hi):
+    """n random signed 53-bit values with frexp exponents drawn from [lo, hi]."""
+    mant = rng.integers(2**52, 2**53, n).astype(np.float64) * rng.choice([-1.0, 1.0], n)
+    return np.ldexp(mant, rng.integers(lo, hi + 1, n) - 53)
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named analysis helpers from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(x, real=getattr(analysis, name), name=name):
+            calls[name] += 1
+            return real(x)
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4097, 1 << 14, 1 << 17])
+def test_exact_sum_on_block_sizes(n, monkeypatch):
+    """Blocks of the sizes the integrals stream, each summed as fsum sums
+    it.  One extraction pass (one _units call) over n values peels
+    53 − bit_length(n + 2) bits off the largest remaining value, so the
+    exponent spans below take 1, 2 and 3 passes, or reach the bincount
+    remainder (_binned).  Subnormal blocks, and blocks whose σ would pass
+    2^1023, go to the remainder at once; a block past the bound on Σ|x|
+    goes to fsum."""
+    calls = _count_calls(monkeypatch, "_units", "_binned")
+    rng = np.random.default_rng(n)
+    peel = 53 - (n + 2).bit_length()
+    pairs = _spread(rng, n, 0, 0)
+    pairs[1::2] = -np.nextafter(pairs[0::2][: n // 2], 0.0)
+    edge = (1 << (n.bit_length() - 1)) - 1  # edge + 2 has one bit more
+    top = 1023 - edge.bit_length()  # the largest e with edge·2^e < 2^1023
+    cases = [
+        (rng.integers(-(1 << 20), 1 << 20, n).astype(np.float64), 1, 0),
+        (_spread(rng, n, 0, 0), 2, 0),
+        (pairs, 2, 0),
+        (_spread(rng, n, -peel, 0), 3, 0),
+        (_spread(rng, n, -2 * peel, 0), 3, 1),
+        (_spread(rng, n, -1074, 1000), 3, 1),
+        (rng.integers(-(2**52), 2**52, n) * 5e-324, 0, 1),
+        (rng.uniform(-1.0, 1.0, edge) * 2.0**top, 0, 1),
+        (np.full(n, np.nextafter(2.0**1023 / n, 0.0)), 0, 0),
+    ]
+    for values, passes, binned in cases:
+        calls.update(_units=0, _binned=0)
+        got = _outcome(lambda: _exact_sum(lambda: (values,)))
+        assert (calls["_units"], calls["_binned"]) == (passes, binned)
+        assert got == _outcome(lambda: math.fsum(values.tolist()))
+
+
+def test_exact_sum_counts_a_long_run():
+    """A zero-stride run of 2^26 cells is its one value 2^26 times."""
+    for v in (0.1, -(2.0**-1074), 3.0 * 2.0**990):
+        run = np.broadcast_to(v, 1 << 26)
+        assert _exact_sum(lambda: (run,)) == float(F(v) * (1 << 26))
+
+
+def test_exact_sum_takes_the_fast_path(monkeypatch):
+    """Extraction alone sums a smooth integral's values; the bincount
+    remainder is reached only by a block whose exponents span more bits
+    than the passes peel."""
+    calls = _count_calls(monkeypatch, "_binned")
+    bump = hann_bump(F(3, 16), F(5, 16))
+    assert norm_sq(bump.fhat, bump.support, FrequencyGrid(F(0), F(1, 2), 16)) > 0.0
+    assert calls["_binned"] == 0
+    wide = np.ldexp(1.0, np.arange(-1074, 1001))
+    assert _exact_sum(lambda: (wide,)) == math.fsum(wide)
+    assert calls["_binned"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -366,7 +437,8 @@ def test_direct_sums_equal_full_grid_oracle(ex51, ex52, grid14):
 def test_level_sum_keeps_cells_a_rounded_scale_moves():
     """With dilation 6 the scale 6^-1 is inexact and scale·γ rounds.  An
     indicator starting exactly at a product that rounded up takes in a
-    cell whose exact product lies below it; the one-cell widening keeps it."""
+    cell whose exact product lies below it; support_cells decides each cell
+    on the rounded float the scan evaluates, so it keeps that cell."""
     ts = TranslationSet(3, 1)
     grid = FrequencyGrid(F(0), F(1, 2), 10)
     g = grid.points()
@@ -381,7 +453,9 @@ def test_level_sum_keeps_cells_a_rounded_scale_moves():
 def test_level_sum_with_subnormal_scale_keeps_every_cell(ex52, grid14):
     """At 4^-535 the products scale·γ of the first thousand cells underflow
     to 0, inside chi[-1,0], though their exact values lie outside it; at
-    4^-600 the scale itself is 0.  Neither level skips a cell."""
+    4^-600 the scale itself is 0.  support_cells decides each cell on the
+    evaluated product, so it keeps the 1024 cells that underflow at 4^-535
+    and every cell at 4^-600, and both sums equal the full-grid sums."""
     f = parse(f"{2**40}*chi[-1,0]")
     sums = [lattice_sum_parseval(f, ex52.psi0_hat, ex52.ts, j, grid14) for j in (-535, -600)]
     assert sums[0] > 0.0

@@ -190,6 +190,16 @@ def test_eval_sinc():
     assert v[0] == 1.0 and v[1] == math.sin(x) / x
 
 
+def test_eval_sinc_of_tiny_arguments():
+    """Where 1/x overflows (|x| ≤ 2^-1024) sinc is 1, not inf; above that
+    it keeps the bits of sin(x)·(1/x)."""
+    tiny = np.array([5e-324, -5e-324, 2.0**-1024, -(2.0**-1024)])
+    assert np.all(evaluate(Sinc(Var()), tiny) == 1.0)
+    assert np.all(evaluate(parse("sinc(i*g)"), tiny) == 1.0)
+    x = math.nextafter(2.0**-1024, 1.0)
+    assert evaluate(Sinc(Var()), x) == math.sin(x) * (1.0 / x)
+
+
 def test_eval_indicator_endpoint_semantics():
     half_open = Indicator(F(0), F(1, 8), False, True)
     assert evaluate(half_open, 0.0) == 0.0
