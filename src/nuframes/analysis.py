@@ -18,8 +18,13 @@ An integrand of indicators and constants is cut where an indicator flips,
 and each piece's one value enters the exact sum as a zero-stride view,
 which converts it once and counts it once per cell, so it costs O(pieces);
 any other integrand walks blocks of BLOCK_CELLS (2^14) cells, so the
-temporaries of an evaluation stay in cache.  Only the direct route, whose
-FFT needs every sample at once, evaluates the grid as one array.
+temporaries of an evaluation stay in cache.  Evaluation and the integrands
+overwrite those temporaries rather than allocate at every step: a value is
+written over only when it is an array the evaluation itself allocated, has
+the block's shape and more than one element, and can hold the result (see
+symfunc.evaluate_block); the operand order, and so every bit, is kept.
+Only the direct route, whose FFT needs every sample at once, evaluates the
+grid as one array.
 
 The Parseval frame property is verified by two deliberately independent
 routes:
@@ -39,6 +44,7 @@ frame identity actually holds for the setup at hand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -53,12 +59,14 @@ from .setups import GeneralSetup, check_grid_log2, derive_generator, uep_residua
 from .signals import SignalSpec, probe_support
 from .symfunc import (
     FreqExpr,
+    _abs2,
+    _apply,
+    _out,
     evaluate,
     evaluate_block,
     grid_blocks,
     grid_pieces,
     render,
-    squared_modulus,
     support_cells,
 )
 
@@ -270,15 +278,22 @@ def _level_scales(ts: TranslationSet, j: int) -> tuple[float, float]:
         ) from None
 
 
-def _level_cells(f_hat: FreqExpr, g_hat: FreqExpr, scale: float, grid: FrequencyGrid):
-    """The cells support_cells keeps for both f̂(scale·γ) and ĝ(γ), or
-    None unless both are proved: elsewhere one factor is ±0 and the other
-    finite, so their product is ±0."""
-    f, g = (support_cells(e, s, grid.a, grid.b, grid.log2_n)
-            for e, s in ((f_hat, scale), (g_hat, 1.0)))
-    if f and g:
-        k0 = max(f[0], g[0])
-        return k0, max(k0, min(f[1], g[1]))
+def _level_cells(f_hat: FreqExpr, scale: float, g_cells, grid: FrequencyGrid):
+    """The cells support_cells keeps for both f̂(scale·γ) and ĝ(γ), given
+    ĝ's as g_cells, or None unless both are proved: elsewhere one factor is
+    ±0 and the other finite, so their product is ±0."""
+    f = support_cells(f_hat, scale, grid.a, grid.b, grid.log2_n)
+    if f and g_cells:
+        k0 = max(f[0], g_cells[0])
+        return k0, max(k0, min(f[1], g_cells[1]))
+
+
+def _generator_cells(g_hat: FreqExpr, grid: FrequencyGrid):
+    """Check ĝ's support (_half_line_support) and return the cells
+    support_cells keeps for it: the proofs every level sum against ĝ
+    shares, made once per generator."""
+    _half_line_support(g_hat)
+    return support_cells(g_hat, 1.0, grid.a, grid.b, grid.log2_n)
 
 
 @dataclass(frozen=True)
@@ -330,46 +345,61 @@ def lattice_sum_direct_detail(
     coset totals are added once at the end, so the coset split is exact by
     construction.  Guards against M·h > 0.01 (phase under-resolution).
     """
-    grid = _resolve_grid(grid)
-    _require_working_window(grid)
-    if M < 1:
-        raise ValueError(f"window size M must be at least 1, got {M}")
-    if grid.log2_n > _POINTS_MAX_LOG2:
-        raise ValueError(
-            f"the direct route supports --grid-log2 up to {_POINTS_MAX_LOG2}, "
-            f"got {grid.log2_n}; the parseval route supports up to 26"
+    return _direct_levels(f_hat, g_hat, ts, M, _resolve_grid(grid))(j)
+
+
+def _direct_levels(f_hat: FreqExpr, g_hat: FreqExpr, ts: TranslationSet, M: int,
+                   grid: FrequencyGrid):
+    """j ↦ lattice_sum_direct_detail(f_hat, g_hat, ts, j, M, grid).  The
+    first call checks the window, M and ĝ's support and finds ĝ's cells;
+    later calls reuse them."""
+
+    @functools.cache
+    def g_cells():
+        _require_working_window(grid)
+        if M < 1:
+            raise ValueError(f"window size M must be at least 1, got {M}")
+        if grid.log2_n > _POINTS_MAX_LOG2:
+            raise ValueError(
+                f"the direct route supports --grid-log2 up to {_POINTS_MAX_LOG2}, "
+                f"got {grid.log2_n}; the parseval route supports up to 26"
+            )
+        if M * grid.h > 0.01:
+            raise TruncationGuard(
+                f"M*h = {M * grid.h:.4g} > 0.01: the phase e^(2pi i lambda gamma) "
+                "would be under-resolved; refine the grid or shrink M"
+            )
+        return _generator_cells(g_hat, grid)
+
+    def level(j: int) -> DirectLevelSum:
+        cells = g_cells()
+        scale, amp = _level_scales(ts, j)
+        k0, k1 = _level_cells(f_hat, scale, cells, grid) or (0, grid.n)
+        g = grid.points()[k0:k1]
+        h = grid.h
+        F = np.zeros(grid.n, dtype=np.complex128)
+        F_off = np.zeros_like(F)
+        with np.errstate(all="ignore"):
+            F[k0:k1] = amp * evaluate(f_hat, scale * g) * np.conj(evaluate(g_hat, g))
+            F_off[k0:k1] = F[k0:k1] * np.exp((2j * np.pi * float(ts.offset)) * g)
+            sq_even = _coset_sq(F, M, h)
+            sq_off = _coset_sq(F_off, M, h)
+        even = _exact_sum(lambda: (sq_even,))
+        off = _exact_sum(lambda: (sq_off,))
+        if not math.isfinite(even + off):
+            raise _not_finite(f"the level-{j} direct sum against {render(g_hat)}", even + off)
+        half = M // 2
+        sl = slice(M - half, M + half + 1)
+        value_half = _exact_sum(lambda: (sq_even[sl],)) + _exact_sum(lambda: (sq_off[sl],))
+        return DirectLevelSum(
+            value=even + off,
+            even_part=even,
+            offset_part=off,
+            value_at_half_m=value_half,
+            M=M,
         )
-    if M * grid.h > 0.01:
-        raise TruncationGuard(
-            f"M*h = {M * grid.h:.4g} > 0.01: the phase e^(2pi i lambda gamma) "
-            "would be under-resolved; refine the grid or shrink M"
-        )
-    _half_line_support(g_hat)
-    scale, amp = _level_scales(ts, j)
-    k0, k1 = _level_cells(f_hat, g_hat, scale, grid) or (0, grid.n)
-    g = grid.points()[k0:k1]
-    h = grid.h
-    F = np.zeros(grid.n, dtype=np.complex128)
-    F_off = np.zeros_like(F)
-    with np.errstate(all="ignore"):
-        F[k0:k1] = amp * evaluate(f_hat, scale * g) * np.conj(evaluate(g_hat, g))
-        F_off[k0:k1] = F[k0:k1] * np.exp((2j * np.pi * float(ts.offset)) * g)
-        sq_even = _coset_sq(F, M, h)
-        sq_off = _coset_sq(F_off, M, h)
-    even = _exact_sum(lambda: (sq_even,))
-    off = _exact_sum(lambda: (sq_off,))
-    if not math.isfinite(even + off):
-        raise _not_finite(f"the level-{j} direct sum against {render(g_hat)}", even + off)
-    half = M // 2
-    sl = slice(M - half, M + half + 1)
-    value_half = _exact_sum(lambda: (sq_even[sl],)) + _exact_sum(lambda: (sq_off[sl],))
-    return DirectLevelSum(
-        value=even + off,
-        even_part=even,
-        offset_part=off,
-        value_at_half_m=value_half,
-        M=M,
-    )
+
+    return level
 
 
 def lattice_sum_parseval(
@@ -391,21 +421,38 @@ def lattice_sum_parseval(
     A sum that overflows to inf or nan raises ValueError naming the level
     and ĝ.
     """
-    grid = _resolve_grid(grid)
-    _require_working_window(grid)
-    _half_line_support(g_hat)
-    scale = _level_scales(ts, j)[0]
+    return _identity_levels(f_hat, g_hat, ts, _resolve_grid(grid))(j)
 
-    def integrand(g):
-        return scale * squared_modulus(
-            evaluate_block(f_hat, scale * g) * evaluate_block(g_hat, g)
-        )
 
-    cells = _level_cells(f_hat, g_hat, scale, grid)
-    value = _stream_real_integral(integrand, grid, cells, ((f_hat, scale), (g_hat, 1.0)))
-    if not math.isfinite(value):
-        raise _not_finite(f"the level-{j} sum against {render(g_hat)}", value)
-    return value
+def _identity_levels(f_hat: FreqExpr, g_hat: FreqExpr, ts: TranslationSet,
+                     grid: FrequencyGrid):
+    """j ↦ lattice_sum_parseval(f_hat, g_hat, ts, j, grid).  The first call
+    checks the window and ĝ's support and finds ĝ's cells; later calls
+    reuse them."""
+
+    @functools.cache
+    def g_cells():
+        _require_working_window(grid)
+        return _generator_cells(g_hat, grid)
+
+    def level(j: int) -> float:
+        proved = g_cells()
+        scale = _level_scales(ts, j)[0]
+
+        def integrand(g):
+            # product, square and scale by evaluate_block's ownership rule
+            v = _apply(np.multiply, evaluate_block(f_hat, scale * g),
+                       evaluate_block(g_hat, g), g)
+            v = _abs2(v, g)
+            return np.multiply(scale, v, out=_out(v, g))
+
+        cells = _level_cells(f_hat, scale, proved, grid)
+        value = _stream_real_integral(integrand, grid, cells, ((f_hat, scale), (g_hat, 1.0)))
+        if not math.isfinite(value):
+            raise _not_finite(f"the level-{j} sum against {render(g_hat)}", value)
+        return value
+
+    return level
 
 
 def level_profile(
@@ -416,11 +463,8 @@ def level_profile(
 ) -> list[tuple[int, float]]:
     """Scaling-level sums (j, Σ_λ |⟨f, level-j translate of ψ₀⟩|²) via the
     identity route against ψ̂₀, for each j in j_list."""
-    grid = _resolve_grid(grid)
-    return [
-        (int(j), lattice_sum_parseval(f_hat, setup.psi0_hat, setup.ts, int(j), grid))
-        for j in j_list
-    ]
+    level = _identity_levels(f_hat, setup.psi0_hat, setup.ts, _resolve_grid(grid))
+    return [(int(j), level(int(j))) for j in j_list]
 
 
 def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> float:
@@ -436,7 +480,7 @@ def norm_sq(f_hat: FreqExpr, support, grid: FrequencyGrid | None = None) -> floa
     sub = FrequencyGrid(a, b, grid.log2_n)
 
     def integrand(g):
-        return squared_modulus(evaluate_block(f_hat, g))
+        return _abs2(evaluate_block(f_hat, g), g)
 
     cells = support_cells(f_hat, 1.0, a, b, sub.log2_n)
     value = _stream_real_integral(integrand, sub, cells, ((f_hat, 1.0),))
@@ -469,12 +513,11 @@ def telescoping_residual(
         )
     scaling_levels = sorted({k for j in js for k in (j - 1, j)})
     scaling = dict(level_profile(f_hat, setup, scaling_levels, grid))
-    gens = [derive_generator(setup, ell) for ell in range(1, setup.n + 1)]
+    gens = [_identity_levels(f_hat, derive_generator(setup, ell), setup.ts, grid)
+            for ell in range(1, setup.n + 1)]
     rows = []
     for j in js:
-        terms = [scaling[j - 1]] + [
-            lattice_sum_parseval(f_hat, gen, setup.ts, j - 1, grid) for gen in gens
-        ]
+        terms = [scaling[j - 1]] + [level(j - 1) for level in gens]
         rows.append((j, abs(math.fsum(terms) - scaling[j])))
     return rows
 
@@ -552,13 +595,15 @@ def parseval_report(
     tail_terms = []
     for ell in range(1, setup.n + 1):
         gen = derive_generator(setup, ell)
+        if route == ROUTE_PARSEVAL:
+            level = _identity_levels(signal.fhat, gen, setup.ts, grid)
+        else:
+            level = _direct_levels(signal.fhat, gen, setup.ts, M, grid)
         for j in range(j_min, j_max + 1):
-            if route == ROUTE_PARSEVAL:
-                v = lattice_sum_parseval(signal.fhat, gen, setup.ts, j, grid)
-            else:
-                d = lattice_sum_direct_detail(signal.fhat, gen, setup.ts, j, M, grid)
-                v = d.value
-                tail_terms.append(d.value - d.value_at_half_m)
+            v = level(j)
+            if route == ROUTE_DIRECT:
+                tail_terms.append(v.value - v.value_at_half_m)
+                v = v.value
             levels.append((ell, j, v))
 
     total = math.fsum(v for (_, _, v) in levels)

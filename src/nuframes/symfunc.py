@@ -61,9 +61,11 @@ _MAX_PARSE_DEPTH = 200
 
 
 class FreqExpr:
-    """Base class for expression nodes.  Instances are immutable."""
+    """Base class for expression nodes.  Instances are immutable; the one
+    slot here holds what evaluation converts once per node (see _cached),
+    outside the fields that equality, hashing and repr see."""
 
-    __slots__ = ()
+    __slots__ = ("_cache",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,7 +260,7 @@ def evaluate(e: FreqExpr, gamma):
         if g.ndim == 0:
             return complex(_eval(e, g.reshape(1), None)[0])
         out = _eval(e, g, None)
-    if out is g or out.shape != g.shape:
+    if not _owned(out, g):
         return np.broadcast_to(out, g.shape).copy()
     return out
 
@@ -276,7 +278,16 @@ def evaluate_block(e: FreqExpr, g: np.ndarray) -> np.ndarray:
     one value, and so are +, −, ×, negation, Scale, abs2 and conj of
     one-value operands.  sin, cos, sinc, sqrt and recip broadcast their
     argument to g's shape first, so their values, and the point a raised
-    error names, are those of evaluate.  The result may be g itself.
+    error names, are those of evaluate.
+
+    The evaluation overwrites only the arrays it allocated itself: a node
+    writes its result into a child's value (out=) only when that value has
+    g's shape and more than one element, is not g, is neither a view nor
+    read-only (the constants are read-only arrays kept on their nodes), and
+    has a dtype that holds the result; otherwise it allocates.  Each
+    operation keeps its operand order, so the bits are those of a fresh
+    array.  The result is g itself, a read-only array, or a new array the
+    caller may overwrite; g is never written.
     """
     with np.errstate(all="ignore"):
         return _eval(e, g, (g[0], g[-1]))
@@ -295,93 +306,148 @@ def _off_real_axis(v: np.ndarray):
 
 
 def _first_bad(g, v, mask):
+    """(γ, value) at the first point of mask; a real value as a float."""
     i = int(np.argmax(mask))
-    return float(g[i]), complex(v[i])
+    return float(g[i]), complex(v[i]) if np.iscomplexobj(v) else float(v[i])
 
 
-def _fold(op, parts, g: np.ndarray, span) -> np.ndarray:
-    """op over the values of parts, left to right; in place after the first
-    step, which makes a fresh array, unless a full operand meets a one-value
-    accumulator or a complex value meets a real one."""
-    acc = op(_eval(parts[0], g, span), _eval(parts[1], g, span))
-    for p in parts[2:]:
-        v = _eval(p, g, span)
-        if v.size > acc.size or (np.iscomplexobj(v) and not np.iscomplexobj(acc)):
-            acc = op(acc, v)
-        else:
-            op(acc, v, out=acc)
-    return acc
+def _owned(v: np.ndarray, g: np.ndarray) -> bool:
+    """Whether v, a value evaluated on g, is a temporary of the evaluation
+    that the next node may overwrite: g's shape, not g, not a view and not
+    read-only.  A one-element v never is: numpy multiplies one complex
+    element written over an operand in another loop, which can round
+    differently, so a point would lose the bits it has inside a block."""
+    return (v is not g and v.shape == g.shape and v.size > 1 and v.base is None
+            and v.flags.writeable)
 
 
-def _whole(e: FreqExpr, g: np.ndarray, span) -> np.ndarray:
-    """e's values on g at g's shape (a read-only view when they are one
-    value)."""
-    return np.broadcast_to(_eval(e, g, span), g.shape)
+def _out(v: np.ndarray, g: np.ndarray):
+    """v as the out= of a same-dtype operation on it when it is owned,
+    else None (allocate)."""
+    return v if _owned(v, g) else None
+
+
+def _apply(op, x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """op(x, y), written into x or y when that one is owned and of the
+    result's dtype (a complex result needs a complex operand)."""
+    kind = "c" if "c" in (x.dtype.kind, y.dtype.kind) else "f"
+    for v in (x, y):
+        if v.dtype.kind == kind and _owned(v, g):
+            return op(x, y, out=v)
+    return op(x, y)
+
+
+def _abs2(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """squared_modulus(v) of a value evaluated on g, in v's memory when v
+    is owned and real."""
+    return squared_modulus(v) if np.iscomplexobj(v) else np.multiply(v, v, out=_out(v, g))
+
+
+def _full(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """v at g's shape (a read-only view when it is one value)."""
+    return v if v.shape == g.shape else np.broadcast_to(v, g.shape)
+
+
+def _cached(e: FreqExpr, make):
+    """make(e), computed on e's first evaluation and kept on the node, so
+    a constant converts to float once per node rather than once per block."""
+    try:
+        return e._cache
+    except AttributeError:
+        value = make(e)
+        object.__setattr__(e, "_cache", value)
+        return value
+
+
+def _const_array(e: FreqExpr) -> np.ndarray:
+    """A constant's value as a read-only one-element array."""
+    v = np.full(1, 1j if isinstance(e, ImaginaryUnit) else float(e.value))
+    v.flags.writeable = False
+    return v
+
+
+def _indicator_tests(e: Indicator):
+    """(lo, hi, the comparison with lo, the comparison with hi)."""
+    return (float(e.lo), float(e.hi), operator.ge if e.lo_closed else operator.gt,
+            operator.le if e.hi_closed else operator.lt)
+
+
+# Decided indicators, read-only like every constant.
+_ZERO, _ONE = np.zeros(1), np.ones(1)
+_ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
 def _eval(e: FreqExpr, g: np.ndarray, span) -> np.ndarray:
     """e's values on g (see evaluate_block); span is (g[0], g[-1]) of an
     ascending g, or None when indicators are not to be decided on it."""
-    if isinstance(e, (RationalConst, RealConst)):
-        return np.full(1, float(e.value))
-    if isinstance(e, ImaginaryUnit):
-        return np.full(1, 1j)
+    if isinstance(e, (RationalConst, RealConst, ImaginaryUnit)):
+        return _cached(e, _const_array)
     if isinstance(e, Var):
         return g
-    if isinstance(e, Sin):
-        return np.sin(_whole(e.arg, g, span))
-    if isinstance(e, Cos):
-        return np.cos(_whole(e.arg, g, span))
+    if isinstance(e, (Sin, Cos)):
+        x = _full(_eval(e.arg, g, span), g)
+        return (np.sin if isinstance(e, Sin) else np.cos)(x, out=_out(x, g))
     if isinstance(e, Sinc):
-        x = _whole(e.arg, g, span)
+        x = _full(_eval(e.arg, g, span), g)
         # 1/x overflows for |x| ≤ 2^−1024, where sinc(x) rounds to 1
         tiny = np.abs(x) <= 2.0**-1024
-        safe = np.where(tiny, 1.0, x)
-        # A real x takes sin(x)·(1/x): that is what complex division by a
-        # real divisor computes, so both forms give the same bits.
-        if np.iscomplexobj(safe):
-            ratio = np.sin(safe) / safe
+        any_tiny = tiny.any()
+        if any_tiny:
+            x = np.where(tiny, 1.0, x)
+        if np.iscomplexobj(x):
+            s = np.sin(x)
+            s /= x
         else:
-            ratio = np.sin(safe) * (1.0 / safe)
-        return np.where(tiny, 1.0, ratio)
+            # A real x takes sin(x)·(1/x): that is what complex division by
+            # a real divisor computes, so both forms give the same bits.
+            r = 1.0 / x
+            s = np.sin(x, out=_out(x, g))
+            s *= r
+        if any_tiny:
+            s[tiny] = 1.0
+        return s
     if isinstance(e, Sqrt):
-        v = _whole(e.arg, g, span)
+        v = _full(_eval(e.arg, g, span), g)
         bad = _off_real_axis(v) | (v.real < -IMAG_TOL)
         if bad.any():
             gp, vp = _first_bad(g, v, bad)
             raise NegativeSqrt(f"sqrt of non-nonnegative value {vp} at gamma={gp}")
-        return np.sqrt(np.maximum(v.real, 0.0))
+        r = np.maximum(v.real, 0.0, out=None if np.iscomplexobj(v) else _out(v, g))
+        return np.sqrt(r, out=r)
     if isinstance(e, Abs2):
-        return squared_modulus(_eval(e.arg, g, span))
+        return _abs2(_eval(e.arg, g, span), g)
     if isinstance(e, Conj):
-        return np.conj(_eval(e.arg, g, span))
+        v = _eval(e.arg, g, span)
+        return np.conj(v, out=_out(v, g))
     if isinstance(e, Indicator):
-        lo, hi = float(e.lo), float(e.hi)
-        above = operator.ge if e.lo_closed else operator.gt
-        below = operator.le if e.hi_closed else operator.lt
+        lo, hi, above, below = _cached(e, _indicator_tests)
         if span is not None:
             if above(span[0], lo) and below(span[1], hi):
-                return np.ones(1)
+                return _ONE
             if not (above(span[1], lo) and below(span[0], hi)):
-                return np.zeros(1)
+                return _ZERO
         return (above(g, lo) & below(g, hi)).astype(np.float64)
-    if isinstance(e, Sum):
-        return _fold(np.add, e.terms, g, span)
-    if isinstance(e, Product):
-        return _fold(np.multiply, e.factors, g, span)
+    if isinstance(e, (Sum, Product)):
+        op, parts = (np.add, e.terms) if isinstance(e, Sum) else (np.multiply, e.factors)
+        acc = _eval(parts[0], g, span)
+        for p in parts[1:]:
+            acc = _apply(op, acc, _eval(p, g, span), g)
+        return acc
     if isinstance(e, Negate):
-        return -_eval(e.arg, g, span)
+        v = _eval(e.arg, g, span)
+        return np.negative(v, out=_out(v, g))
     if isinstance(e, Scale):
-        return float(e.coeff) * _eval(e.arg, g, span)
+        v = _eval(e.arg, g, span)
+        return np.multiply(_cached(e, lambda e: float(e.coeff)), v, out=_out(v, g))
     if isinstance(e, PositiveReciprocal):
-        v = _whole(e.arg, g, span)
+        v = _full(_eval(e.arg, g, span), g)
         bad = _off_real_axis(v) | (v.real <= 0.0)
         if bad.any():
             gp, vp = _first_bad(g, v, bad)
             raise ThetaNotPositive(
                 f"reciprocal of non-positive value {vp} at gamma={gp}"
             )
-        return 1.0 / v.real
+        return np.divide(1.0, v.real, out=None if np.iscomplexobj(v) else _out(v, g))
     raise TypeError(f"not a FreqExpr node: {e!r}")
 
 
@@ -515,13 +581,16 @@ def _dilate(e: FreqExpr, s: Fraction) -> FreqExpr:
 BLOCK_CELLS = 1 << 14
 
 
+def _grid_floats(a, b, log2_n: int) -> tuple[float, float]:
+    """a and h = (b − a)/2^log2_n as the floats every scan computes with."""
+    return float(a), float((Fraction(b) - Fraction(a)) / (1 << log2_n))
+
+
 def _scan_key(a, b, log2_n: int, s: float = 1.0):
-    """k ↦ s·γ_k, the float a scan evaluates at cell k (an int or an array)
-    of the regular 2^log2_n grid on [a, b], γ_k = a + (k + 1/2)·h its
+    """k ↦ s·γ_k, the float a scan evaluates at cell k of the regular 2^log2_n grid on [a, b], γ_k = a + (k + 1/2)·h its
     midpoint and h = (b − a)/2^log2_n; non-decreasing in k for s ≥ 0.
     s = 1 gives the midpoints themselves, without the product."""
-    a_f = float(a)
-    h = float((Fraction(b) - Fraction(a)) / (1 << log2_n))
+    a_f, h = _grid_floats(a, b, log2_n)
     if s == 1.0:
         return lambda k: a_f + (k + 0.5) * h
     return lambda k: s * (a_f + (k + 0.5) * h)
@@ -556,9 +625,13 @@ def grid_blocks(a, b, log2_n: int, cells=None):
     a, b the values are exact float64.
     """
     k0, k1 = (0, 1 << log2_n) if cells is None else cells
-    mid = _scan_key(a, b, log2_n)
+    a_f, h = _grid_floats(a, b, log2_n)
     for k in range(k0, k1, BLOCK_CELLS):
-        yield k, mid(np.arange(k, min(k + BLOCK_CELLS, k1), dtype=np.float64))
+        # _scan_key's floats a + (k + 1/2)·h, built in place
+        g = np.arange(k + 0.5, min(k + BLOCK_CELLS, k1))
+        g *= h
+        g += a_f
+        yield k, g
 
 
 def grid_pieces(a, b, log2_n: int, cells, exprs):

@@ -728,6 +728,30 @@ def test_all_indicator_scans_cost_one_evaluation_per_piece(monkeypatch, ex52):
         assert count(lambda: run(20)) == count(lambda: run(26)) < 40
 
 
+def test_each_generator_is_proved_once(monkeypatch, ex51, grid14):
+    """parseval_report (both routes), level_profile and telescoping_residual
+    check each generator's support and find its cells once, however many
+    levels they sum against it."""
+    gens = [ex51.psi0_hat] + [derive_generator(ex51, ell) for ell in range(1, ex51.n + 1)]
+    checked, cells = [], []
+    monkeypatch.setattr(analysis, "_half_line_support",
+                        lambda e, f=analysis._half_line_support: checked.append(e) or f(e))
+    monkeypatch.setattr(analysis, "support_cells",
+                        lambda e, *a, f=analysis.support_cells: (e in gens and cells.append(e))
+                        or f(e, *a))
+    sig = hann_bump(F(9, 64), F(31, 64))
+    for run, want in (
+        (lambda: parseval_report(sig, ex51, -2, 2, grid=grid14), gens[1:]),
+        (lambda: parseval_report(sig, ex51, 0, 1, "direct", 64, grid14), gens[1:]),
+        (lambda: level_profile(sig.fhat, ex51, range(-2, 3), grid14), gens[:1]),
+        (lambda: telescoping_residual(sig.fhat, ex51, [0, 1, 2], grid14), gens),
+    ):
+        checked.clear()
+        cells.clear()
+        run()
+        assert checked == cells == want
+
+
 # ---------------------------------------------------------------------------
 # golden bits
 

@@ -305,6 +305,22 @@ def test_constant_out_of_float_range_is_rejected(capsys):
     assert "constant 1e400 is outside the float range (at offset 0)" in err
 
 
+@pytest.mark.parametrize("signal, message", [
+    ("recip(g)", "reciprocal of non-positive value -3.9990234375 at gamma=-3.9990234375"),
+    ("sqrt(g - 1)",
+     "sqrt of non-nonnegative value -0.9999997615814209 at gamma=2.384185791015625e-07"),
+    ("sqrt(i*g - 1)",
+     "sqrt of non-nonnegative value (-1+2.384185791015625e-07j) at gamma=2.384185791015625e-07"),
+], ids=["recip", "sqrt", "sqrt-complex"])
+def test_guard_errors_print_real_values_as_floats(capsys, signal, message):
+    """A real value out of a guard's range prints as a float; only a value
+    off the real axis prints as a complex number."""
+    code, _, err = run(capsys, "parseval", "--preset", "ex5.2", "--signal", signal,
+                       "--grid-log2", "12")
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("signal, endpoint", [
     ("bump(1,1e400)", "1e400"),
     ("ind(-1e400,0)", "-1e400"),

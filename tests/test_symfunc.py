@@ -502,6 +502,62 @@ def test_block_entry_decides_indicators():
         assert evaluate_block(parse(text), block).shape == shape, text
 
 
+def _shared_exprs():
+    """_exprs(guarded=True) trees, some holding one subtree object twice (g
+    itself is one object in all of them), so a node that overwrote a
+    child's value would hand the wrong values to the other place."""
+    return st.recursive(
+        _exprs(guarded=True),
+        lambda kids: st.one_of(
+            st.builds(lambda t: Product((t, t)), kids),
+            st.builds(lambda t, u: Sum((t, Negate(u), t)), kids, kids),
+            st.builds(lambda t: Sin(Product((Var(), t, Var(), t))), kids),
+        ),
+        max_leaves=3,
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(e=_shared_exprs(), data=st.data())
+def test_evaluation_in_place_writes_only_its_own_arrays(e, data):
+    """evaluate and evaluate_block, broadcast to a read-only block, give the
+    bits of evaluating each point as its own one-element array, or raise
+    what that raises at the point the message names; a write into g would
+    raise, and fail the test."""
+    end = float(data.draw(st.sampled_from(sorted(_indicator_ends(e)) or [F(0)])))
+    n = data.draw(st.integers(1, 33))
+    h = 2.0 ** -data.draw(st.integers(1, 8))
+    g = end + _PLACES[data.draw(st.sampled_from(sorted(_PLACES)))](n) * h
+    g.setflags(write=False)
+    points = [_bits(lambda x=x: evaluate(e, np.array([x]))) for x in g.tolist()]
+    raised = [p for p in points if isinstance(p[0], type)]
+    for got in (_bits(lambda: evaluate(e, g)),
+                _bits(lambda: np.broadcast_to(evaluate_block(e, g), g.shape))):
+        if raised:
+            assert got in raised
+        else:
+            assert got == (points[0][0], b"".join(b for _, b in points))
+
+
+@pytest.mark.parametrize("text", [
+    "(28/6 + 17/21*i)*(18/20 + 29/25*i)*chi(0,1)*(43/13 + 39/16*i)",
+    "(g + i)*(g - 2*i)*(2*g + 3*i)",
+    "(28/6 + 17/21*i)*(g + 29/25*i)*(43/13 + 39/16*i)",
+])
+def test_complex_products_have_one_set_of_bits(text):
+    """A complex product of three factors has the same bits from evaluate,
+    from evaluate_block, where a decided indicator leaves one-element
+    partial products, and at each point alone: no one-element value is
+    multiplied in place, where numpy rounds differently, and a product
+    written over its second operand keeps the operand order (complex
+    multiplication does not commute bit for bit)."""
+    g = np.linspace(0.1, 0.3, 9)
+    e = parse(text)
+    want = evaluate(e, g).tobytes()
+    assert np.broadcast_to(evaluate_block(e, g), g.shape).tobytes() == want
+    assert b"".join(evaluate(e, np.array([x])).tobytes() for x in g) == want
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     e=_exprs(),
@@ -606,6 +662,20 @@ def test_midpoint_chunks_blocks_concatenate(monkeypatch):
     whole = np.concatenate([g for _, g in blocks])
     assert np.array_equal(whole, one)
     assert len(whole) == 1024
+
+
+@pytest.mark.parametrize("a, b, log2_n", [
+    (F(-1), F(3), 10), (F(1, 7), F(10, 11), 16), (F(1, 12), F(4), 26),
+])
+def test_grid_blocks_hold_the_scan_key_floats(a, b, log2_n):
+    """Each block holds the floats _scan_key gives its cells, which
+    support_cells and grid_pieces search, up to the last cell of a 2^26
+    grid."""
+    n = 1 << log2_n
+    key = symfunc._scan_key(a, b, log2_n)
+    for cells in ((0, min(n, 40000)), (max(0, n - 40000), n)):
+        for k, g in grid_blocks(a, b, log2_n, cells):
+            assert g.tolist() == [key(i) for i in range(k, k + len(g))]
 
 
 @settings(deadline=None, max_examples=200)
