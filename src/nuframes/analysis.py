@@ -23,8 +23,9 @@ overwrite those temporaries rather than allocate at every step: a value is
 written over only when it is an array the evaluation itself allocated, has
 the block's shape and more than one element, and can hold the result (see
 symfunc.evaluate_block); the operand order, and so every bit, is kept.
-Only the direct route, whose FFT needs every sample at once, evaluates the
-grid as one array.
+The direct route, whose FFT needs every sample at once, evaluates the kept
+cells [k0, k1) as one array into a zero grid; a level whose integrand is
+±0 on all of them is 0.0 and takes no FFT.
 
 The Parseval frame property is verified by two deliberately independent
 routes:
@@ -103,16 +104,6 @@ class FrequencyGrid:
     @property
     def h(self) -> float:
         return float((self.b - self.a) / self.n)
-
-    def points(self) -> np.ndarray:
-        """All midpoints as one array, only up to log2_n = 22 (a 2^26 grid
-        materialized is half a gigabyte)."""
-        if self.log2_n > _POINTS_MAX_LOG2:
-            raise ValueError(
-                f"grid with log2_n={self.log2_n} is too large to materialize; "
-                f"the limit is log2_n={_POINTS_MAX_LOG2}"
-            )
-        return np.concatenate([g for _, g in grid_blocks(self.a, self.b, self.log2_n)])
 
     def to_meta(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "log2_n": self.log2_n}
@@ -304,7 +295,8 @@ class DirectLevelSum:
     separately and added once).  value_at_half_m is the same sum truncated
     at |m| ≤ M//2; value − value_at_half_m estimates the coset tail, which
     decays like 1/M for indicator-type data.  Every |c_λ|² of a coset is an
-    entry of one inverse FFT (_coset_sq).
+    entry of one inverse FFT (_coset_sq); a level whose integrand is ±0 on
+    every cell has every field 0.0 and takes none.
     """
 
     value: float
@@ -339,8 +331,9 @@ def lattice_sum_direct_detail(
 
     The even coset's |c_λ|² come from one inverse FFT of the sampled
     integrand F, the offset coset's from one of F·e^{2πi(r/N)γ}.  F is
-    evaluated on the cells that can meet its proven support and is zero
-    elsewhere (see the module docstring).  Each
+    evaluated only on the cells [k0, k1) that can meet its proven support
+    and is zero elsewhere (see the module docstring); when it is ±0 on all
+    of them, every |c_λ|² is +0, so the level is 0.0 without an FFT.  Each
     coset's |c_λ|² values take one exact sum, equal to math.fsum; the two
     coset totals are added once at the end, so the coset split is exact by
     construction.  Guards against M·h > 0.01 (phase under-resolution).
@@ -375,19 +368,23 @@ def _direct_levels(f_hat: FreqExpr, g_hat: FreqExpr, ts: TranslationSet, M: int,
         cells = g_cells()
         scale, amp = _level_scales(ts, j)
         k0, k1 = _level_cells(f_hat, scale, cells, grid) or (0, grid.n)
-        g = grid.points()[k0:k1]
-        h = grid.h
-        F = np.zeros(grid.n, dtype=np.complex128)
-        F_off = np.zeros_like(F)
+        if k0 == k1:
+            return DirectLevelSum(0.0, 0.0, 0.0, 0.0, M)
+        g = np.concatenate([g for _, g in grid_blocks(grid.a, grid.b, grid.log2_n, (k0, k1))])
         with np.errstate(all="ignore"):
-            F[k0:k1] = amp * evaluate(f_hat, scale * g) * np.conj(evaluate(g_hat, g))
-            F_off[k0:k1] = F[k0:k1] * np.exp((2j * np.pi * float(ts.offset)) * g)
-            sq_even = _coset_sq(F, M, h)
-            sq_off = _coset_sq(F_off, M, h)
+            v = amp * evaluate(f_hat, scale * g) * np.conj(evaluate(g_hat, g))
+            # both transforms of ±0 give |c|² = +0 (nan and inf are nonzero)
+            if not v.any():
+                return DirectLevelSum(0.0, 0.0, 0.0, 0.0, M)
+            F = np.zeros(grid.n, dtype=np.complex128)
+            F[k0:k1] = v
+            sq_even = _coset_sq(F, M, grid.h)
+            F[k0:k1] *= np.exp((2j * np.pi * float(ts.offset)) * g)
+            sq_off = _coset_sq(F, M, grid.h)
         even = _exact_sum(lambda: (sq_even,))
         off = _exact_sum(lambda: (sq_off,))
         if not math.isfinite(even + off):
-            raise _not_finite(f"the level-{j} direct sum against {render(g_hat)}", even + off)
+            raise _not_finite(f"the level {j} direct sum against {render(g_hat)}", even + off)
         half = M // 2
         sl = slice(M - half, M + half + 1)
         value_half = _exact_sum(lambda: (sq_even[sl],)) + _exact_sum(lambda: (sq_off[sl],))
@@ -449,7 +446,7 @@ def _identity_levels(f_hat: FreqExpr, g_hat: FreqExpr, ts: TranslationSet,
         cells = _level_cells(f_hat, scale, proved, grid)
         value = _stream_real_integral(integrand, grid, cells, ((f_hat, scale), (g_hat, 1.0)))
         if not math.isfinite(value):
-            raise _not_finite(f"the level-{j} sum against {render(g_hat)}", value)
+            raise _not_finite(f"the level {j} sum against {render(g_hat)}", value)
         return value
 
     return level

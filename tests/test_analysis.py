@@ -138,9 +138,9 @@ def _count_calls(monkeypatch, *names):
     """Count the calls of the named analysis helpers from here on."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(x, real=getattr(analysis, name), name=name):
+        def counted(*args, real=getattr(analysis, name), name=name):
             calls[name] += 1
-            return real(x)
+            return real(*args)
         monkeypatch.setattr(analysis, name, counted)
     return calls
 
@@ -212,27 +212,26 @@ def test_grid_validation():
         FrequencyGrid(F(1, 2), F(1, 2), 12)
 
 
+def _midpoints(grid):
+    """Every midpoint of the grid as one array."""
+    return np.concatenate([g for _, g in symfunc.grid_blocks(grid.a, grid.b, grid.log2_n)])
+
+
 def test_grid_geometry():
     g = FrequencyGrid(F(0), F(1, 2), 10)
     assert g.n == 1024
     assert g.h == 0.5 / 1024
-    pts = g.points()
+    pts = _midpoints(g)
     assert len(pts) == 1024
     assert pts[0] == 0.5 * g.h
     assert pts[-1] == 0.5 - 0.5 * g.h
-
-
-def test_grid_points_cap():
-    big = FrequencyGrid(F(0), F(1, 2), 23)
-    with pytest.raises(ValueError, match="too large to materialize; the limit is log2_n=22"):
-        big.points()
 
 
 def test_default_grid():
     """Without a grid, the integrals take the 2^20 midpoints of [0, 1/2]."""
     g = _resolve_grid(None)
     assert (g.a, g.b, g.log2_n) == (F(0), F(1, 2), 20)
-    assert np.array_equal(g.points(), (np.arange(1 << 20) + 0.5) / (1 << 21))
+    assert np.array_equal(_midpoints(g), (np.arange(1 << 20) + 0.5) / (1 << 21))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_coset_kernel_matches_per_coefficient_quadrature(ex51, ts):
     grid = FrequencyGrid(F(0), F(1, 2), 12)
     M = 81
     assert M * grid.h <= 0.01 < (M + 1) * grid.h
-    g, h = grid.points(), grid.h
+    g, h = _midpoints(grid), grid.h
     j = 1
     f = hann_bump(F(9, 64), F(31, 64)).fhat
     gen = derive_generator(ex51, 1)
@@ -283,7 +282,7 @@ def test_coefficient_against_antiderivative():
     """Closed forms for the indicator χ(1/8, 1/2] on the even coset:
     c₀ = 3/8 and c₂ = −(1 + i)/(4π)."""
     grid = FrequencyGrid(F(0), F(1, 2), 20)
-    g, h = grid.points(), grid.h
+    g, h = _midpoints(grid), grid.h
     even = _coset_sq(np.conj(evaluate(parse("chi(1/8,1/2]"), g)), 1, h)
     assert even[1] == 0.140625
     assert abs(even[2] - 1 / (8 * math.pi**2)) < 1e-11
@@ -293,7 +292,7 @@ def test_coefficient_offset_element():
     """A fractional translation is the same transform of the phase-shifted
     integrand; its m = 0 entry is c at λ = r/N = 3/2."""
     grid = FrequencyGrid(F(0), F(1, 2), 20)
-    g, h = grid.points(), grid.h
+    g, h = _midpoints(grid), grid.h
     integrand = np.conj(evaluate(parse("chi(1/8,1/2]"), g))
     lam = float(TS.offset)
     off = _coset_sq(integrand * np.exp((2j * np.pi * lam) * g), 1, h)
@@ -388,7 +387,7 @@ def test_working_window_enforced(grid14):
 def _full_grid_level_sum(f_hat, g_hat, ts, j, grid):
     """The identity-route sum over every cell of the grid: one fsum."""
     scale = float(ts.dilation) ** j
-    g = grid.points()
+    g = _midpoints(grid)
     u = evaluate(f_hat, scale * g) * evaluate(g_hat, g)
     return math.fsum(scale * (u.real * u.real + u.imag * u.imag)) * grid.h
 
@@ -417,7 +416,7 @@ def test_direct_sums_equal_full_grid_oracle(ex51, ex52, grid14):
     """F is evaluated on the support cells only and zero elsewhere; the
     coset sums are the same bits as from F sampled on every cell."""
     h = grid14.h
-    g = grid14.points()
+    g = _midpoints(grid14)
     for setup in (ex51, ex52):
         d = float(setup.ts.dilation)
         phase = np.exp((2j * np.pi * float(setup.ts.offset)) * g)
@@ -434,6 +433,59 @@ def test_direct_sums_equal_full_grid_oracle(ex51, ex52, grid14):
                     assert (got.even_part, got.offset_part) == (even, off), (ell, j)
 
 
+def test_direct_route_transforms_only_nonzero_levels(monkeypatch, grid14):
+    """Over the 48 cases of acceptance criterion 3, a level whose integrand
+    is ±0 on every cell (an empty proven range, or products that evaluate
+    to zero) returns 0.0 without a coset FFT; every other level takes one
+    per coset."""
+    calls = _count_calls(monkeypatch, "_coset_sq")
+    g = _midpoints(grid14)
+    zero = 0
+    for sig in (hann_bump(F(9, 64), F(31, 64)), indicator_signal(F(1, 8), F(1, 2))):
+        for name in ("ex5.1", "ex5.2"):
+            s = preset(name)
+            d = float(s.ts.dilation)
+            for ell in range(1, s.n + 1):
+                gen = derive_generator(s, ell)
+                for j in range(-1, 5):
+                    nonzero = (evaluate(sig.fhat, d**j * g) * evaluate(gen, g)).any()
+                    before = calls["_coset_sq"]
+                    got = lattice_sum_direct_detail(sig.fhat, gen, s.ts, j, M=64, grid=grid14)
+                    assert calls["_coset_sq"] - before == 2 * nonzero, (name, ell, j)
+                    if not nonzero:
+                        assert got == analysis.DirectLevelSum(0.0, 0.0, 0.0, 0.0, 64)
+                    zero += not nonzero
+    assert zero == 28
+
+
+def test_direct_level_nonzero_on_one_cell(monkeypatch, ex52, grid14):
+    """An integrand nonzero on one cell still takes both transforms and
+    gives the full-grid sums.  One that is nan on every cell (inf times 0
+    where ĝ vanishes, nan outside the indicator) is nonzero too: it still
+    takes both and raises."""
+    h = F(1, 2 * grid14.n)
+    k = 6000
+    f = Indicator(k * h, (k + 1) * h, True, True)
+    gen = derive_generator(ex52, 1)
+    g = _midpoints(grid14)
+    F_full = evaluate(f, g) * np.conj(evaluate(gen, g))
+    assert np.count_nonzero(F_full) == 1
+    phase = np.exp((2j * np.pi * float(ex52.ts.offset)) * g)
+    want = (math.fsum(_coset_sq(F_full, 64, grid14.h)),
+            math.fsum(_coset_sq(F_full * phase, 64, grid14.h)))
+    calls = _count_calls(monkeypatch, "_coset_sq")
+    got = lattice_sum_direct_detail(f, gen, ex52.ts, 0, M=64, grid=grid14)
+    assert calls["_coset_sq"] == 2
+    assert (got.even_part, got.offset_part) == want
+    assert got.value > 0.0
+    nan = parse("1e200*1e200*chi(0,1/4]")
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(evaluate(nan, 4.0 * g) * evaluate(gen, g)).all()
+    with pytest.raises(ValueError, match="level 1 direct sum against .* is nan"):
+        lattice_sum_direct_detail(nan, gen, ex52.ts, 1, M=64, grid=grid14)
+    assert calls["_coset_sq"] == 4
+
+
 def test_level_sum_keeps_cells_a_rounded_scale_moves():
     """With dilation 6 the scale 6^-1 is inexact and scale·γ rounds.  An
     indicator starting exactly at a product that rounded up takes in a
@@ -441,7 +493,7 @@ def test_level_sum_keeps_cells_a_rounded_scale_moves():
     on the rounded float the scan evaluates, so it keeps that cell."""
     ts = TranslationSet(3, 1)
     grid = FrequencyGrid(F(0), F(1, 2), 10)
-    g = grid.points()
+    g = _midpoints(grid)
     x = 6.0**-1 * g
     k = next(k for k in range(grid.n) if F(x[k]) > F(6.0**-1) * F(g[k]))
     f = Indicator(F(x[k]), F(1), True, True)
@@ -469,7 +521,7 @@ def test_integrals_on_two_chunks_take_one_fsum(ex52):
     keeps."""
     grid = FrequencyGrid(F(0), F(1, 2), 21)
     sig = hann_bump(F(3, 16), F(5, 16))
-    g = FrequencyGrid(F(3, 16), F(5, 16), 21).points()
+    g = _midpoints(FrequencyGrid(F(3, 16), F(5, 16), 21))
     v = evaluate(sig.fhat, g)
     want = math.fsum(v.real * v.real + v.imag * v.imag) * float(F(1, 8) / (1 << 21))
     assert norm_sq(sig.fhat, sig.support, grid) == want
@@ -495,12 +547,12 @@ def test_unproved_integrands_are_evaluated_everywhere(ex52, grid14):
     big = parse("1e200*1e200*chi(0,1/4]")
     assert zero_outside(big, 0, F(1, 2)) is None
     for j in (-4, 3):
-        with pytest.raises(ValueError, match=f"level-{j} sum against .* nan"):
+        with pytest.raises(ValueError, match=f"level {j} sum against .* nan"):
             lattice_sum_parseval(big, gen, ex52.ts, j, grid14)
     # finite values whose exact sum overflows: fsum's OverflowError becomes inf
-    with pytest.raises(ValueError, match="level-0 sum against chi.* is inf"):
+    with pytest.raises(ValueError, match="level 0 sum against chi.* is inf"):
         lattice_sum_parseval(parse("1e154*chi(0,1/4]"), ex52.psi0_hat, ex52.ts, 0, grid14)
-    with pytest.raises(ValueError, match="level-0 direct sum"):
+    with pytest.raises(ValueError, match="level 0 direct sum"):
         lattice_sum_direct_detail(big, gen, ex52.ts, 0, M=16, grid=grid14)
     with pytest.raises(ValueError, match="squared norm of .* over"):
         norm_sq(parse("1e200*chi(0,1/4]"), (F(0), F(1, 4)), grid14)
@@ -512,7 +564,7 @@ def test_norm_sq_far_from_zero_keeps_every_cell():
     while the exact midpoints mostly lie below them."""
     a, b = F(1000), F(1000) + F(1, 1 << 45)
     f = parse(f"chi[{a + F(1, 1 << 47)},{b}]")
-    g = FrequencyGrid(a, b, 10).points()
+    g = _midpoints(FrequencyGrid(a, b, 10))
     v = evaluate(f, g)
     want = math.fsum(v.real * v.real) * float((b - a) / 1024)
     assert want > 0.0

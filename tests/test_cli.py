@@ -1,6 +1,9 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,7 +231,17 @@ def test_non_finite_sum_is_named(capsys, argv):
     assert code == 2
     assert out == ""
     assert "is nan" in err and "overflows a float" in err
-    assert "level-" in err or "squared norm" in err
+    assert re.search(r"the level \d+ (direct )?sum against", err) or "squared norm" in err
+
+
+@pytest.mark.parametrize("route, what", [("parseval", "sum"), ("direct", "direct sum")])
+def test_non_finite_sum_at_a_negative_level_is_named(capsys, route, what):
+    code, out, err = run(
+        capsys, "parseval", "--preset", "ex5.2", "--signal", "1e200*chi(0,1/8]",
+        "--route", route, "--M", "40", "--grid-log2", "14", "--j=-1",
+    )
+    assert (code, out) == (2, "")
+    assert f"the level -1 {what} against (1 - chi[0,1/8])*chi[0,1/2] is inf" in err
 
 
 _INF_H0 = ["1e200*1e200*chi[0,1/32]", "1 - chi[0,1/32]"]
@@ -569,10 +582,11 @@ def test_out_file_write_error_exits_two(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "nuframes", "validate", "--preset", "ex5.2",
          "--grid-log2", "14"],
-        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

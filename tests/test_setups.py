@@ -211,7 +211,7 @@ def test_non_dyadic_pieces_equal_full_grid_oracle(monkeypatch, block):
     })
     assert validate_setup(s, grid_log2=16).to_dict() == _full_grid_report(s, 16)
     grid = FrequencyGrid(F(0), F(1, 2), 16)
-    g = grid.points()
+    g = _whole(0, F(1, 2), 16)
     for sig in (indicator_signal(F(1, 7), F(3, 7)), indicator_signal(F(1, 9), F(10, 11))):
         want = []
         for ell in (1, 2):
@@ -221,7 +221,7 @@ def test_non_dyadic_pieces_equal_full_grid_oracle(monkeypatch, block):
                 u = evaluate(sig.fhat, scale * g) * gen
                 want.append((ell, j, math.fsum(scale * squared_modulus(u)) * grid.h))
         sub = FrequencyGrid(*sig.support, 16)
-        nrm = math.fsum(squared_modulus(evaluate(sig.fhat, sub.points()))) * sub.h
+        nrm = math.fsum(squared_modulus(evaluate(sig.fhat, _whole(*sig.support, 16)))) * sub.h
         r = parseval_report(sig, s, -4, 4, grid=grid)
         assert (list(r.levels), r.signal_norm_sq) == (want, nrm)
 
